@@ -2,52 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <future>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "fl/checkpoint.h"
 #include "fl/event_queue.h"
+#include "fl/round_steps.h"
 #include "fl/server.h"
-#include "mec/cost_model.h"
-#include "mec/tdma.h"
 #include "nn/serialize.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "tensor/ops.h"
-#include "util/log.h"
-#include "util/rng.h"
 #include "util/serial.h"
-#include "util/thread_pool.h"
 
 namespace helcfl::fl {
 
 namespace {
 
-/// Sync path only: one client's round outcome, reduced in selection order
-/// (mirrors the struct of the same name in fl/trainer.cpp — the sync path
-/// here must stay a statement-for-statement port of FederatedTrainer).
-struct ClientOutcome {
-  ClientUpdate update;
-  double compute_delay_s = 0.0;
-  double upload_duration_s = 0.0;
-  double energy_j = 0.0;
-  std::vector<float> state;
-  bool trained = false;
-  bool upload_ok = true;
-  std::size_t attempts = 0;
-  bool accepted = false;
-  bool dropped_late = false;
-};
-
-/// Async path: everything one dispatched client will produce, resolved when
-/// its terminal event (upload finish or crash burn-out) pops.  The training
-/// itself runs at dispatch time — only the *outcome* travels through the
-/// event queue.
+/// One dispatched client, from dispatch to its terminal event (upload
+/// finish or crash burn-out).  The training itself runs at dispatch time —
+/// only the *outcome* travels through the event queue.
 struct AsyncDispatch {
   std::uint64_t id = 0;          ///< dispatch counter; RNG/fault fork key
   std::size_t user = 0;
@@ -56,24 +33,11 @@ struct AsyncDispatch {
   double dispatch_time_s = 0.0;
   double compute_end_s = 0.0;    ///< set when kComputeFinish pops
   double upload_start_s = 0.0;   ///< set at the TDMA grant
-  double compute_delay_s = 0.0;
-  double upload_duration_s = 0.0;
-  double occupancy_s = 0.0;      ///< attempts x duration + backoff gaps
-  std::size_t attempts = 0;
-  bool upload_ok = true;
-  bool trained = false;
-  bool crashed = false;
-  double crash_fraction = 0.0;
-  double slowdown = 1.0;
-  std::size_t failed_attempts = 0;
-  double energy_j = 0.0;
-  std::vector<float> weights;    ///< post-compression delta from the dispatch base
-  double train_loss = 0.0;
-  std::size_t num_samples = 0;
-  std::vector<float> state;      ///< post-training persistent buffers
+  /// update.weights hold the post-compression delta from the dispatch base.
+  detail::ClientOutcome outcome;
 };
 
-/// Async path: one update sitting in the server's aggregation buffer.
+/// One update sitting in the server's aggregation buffer.
 struct AsyncArrival {
   std::size_t user = 0;
   std::uint64_t dispatch_id = 0;
@@ -103,7 +67,31 @@ struct StepAccum {
   double step_wasted = 0.0;
 };
 
+/// The engine state between events — exactly what a v3 checkpoint's async
+/// frame holds.
+struct AsyncState {
+  std::size_t model_version = 0;  ///< quorum-met aggregations; staleness base
+  std::size_t step = 0;           ///< all aggregations; the record "round"
+  std::uint64_t next_dispatch_id = 0;
+  std::uint64_t resolutions = 0;  ///< checkpoint-cadence counter
+  std::size_t effective_k = 0;    ///< 0 until the first cohort fixes it
+  double now = 0.0;               ///< global clock; monotone through pops
+  double uplink_free = 0.0;       ///< rolling TDMA cursor
+  double step_start = 0.0;
+  std::vector<std::uint8_t> busy;
+  EventQueue queue;
+  std::map<std::uint64_t, AsyncDispatch> in_flight;  ///< keyed by dispatch id
+  std::vector<AsyncArrival> buffer;
+  StepAccum acc;
+
+  std::vector<std::uint8_t> save() const;
+  /// Parses a frame for an `n_users` fleet.  Throws CheckpointError (or the
+  /// reader's error) on anything a resumed run could not continue from.
+  static AsyncState load(std::span<const std::uint8_t> frame, std::size_t n_users);
+};
+
 void save_dispatch(util::ByteWriter& out, const AsyncDispatch& d) {
+  const detail::ClientOutcome& o = d.outcome;
   out.u64(d.id);
   out.u64(static_cast<std::uint64_t>(d.user));
   out.u64(static_cast<std::uint64_t>(d.version));
@@ -111,25 +99,26 @@ void save_dispatch(util::ByteWriter& out, const AsyncDispatch& d) {
   out.f64(d.dispatch_time_s);
   out.f64(d.compute_end_s);
   out.f64(d.upload_start_s);
-  out.f64(d.compute_delay_s);
-  out.f64(d.upload_duration_s);
-  out.f64(d.occupancy_s);
-  out.u64(static_cast<std::uint64_t>(d.attempts));
-  out.boolean(d.upload_ok);
-  out.boolean(d.trained);
-  out.boolean(d.crashed);
-  out.f64(d.crash_fraction);
-  out.f64(d.slowdown);
-  out.u64(static_cast<std::uint64_t>(d.failed_attempts));
-  out.f64(d.energy_j);
-  out.vec_f32(d.weights);
-  out.f64(d.train_loss);
-  out.u64(static_cast<std::uint64_t>(d.num_samples));
-  out.vec_f32(d.state);
+  out.f64(o.compute_delay_s);
+  out.f64(o.upload_duration_s);
+  out.f64(o.occupancy_s);
+  out.u64(static_cast<std::uint64_t>(o.attempts));
+  out.boolean(o.faults.upload_ok);
+  out.boolean(o.trained);
+  out.boolean(o.faults.crashed);
+  out.f64(o.faults.crash_fraction);
+  out.f64(o.faults.slowdown);
+  out.u64(static_cast<std::uint64_t>(o.faults.failed_attempts));
+  out.f64(o.energy_j);
+  out.vec_f32(o.update.weights);
+  out.f64(o.update.train_loss);
+  out.u64(static_cast<std::uint64_t>(o.update.num_samples));
+  out.vec_f32(o.state);
 }
 
 AsyncDispatch load_dispatch(util::ByteReader& in, std::size_t n_users) {
   AsyncDispatch d;
+  detail::ClientOutcome& o = d.outcome;
   d.id = in.u64();
   d.user = static_cast<std::size_t>(in.u64());
   d.version = static_cast<std::size_t>(in.u64());
@@ -137,27 +126,27 @@ AsyncDispatch load_dispatch(util::ByteReader& in, std::size_t n_users) {
   d.dispatch_time_s = in.f64();
   d.compute_end_s = in.f64();
   d.upload_start_s = in.f64();
-  d.compute_delay_s = in.f64();
-  d.upload_duration_s = in.f64();
-  d.occupancy_s = in.f64();
-  d.attempts = static_cast<std::size_t>(in.u64());
-  d.upload_ok = in.boolean();
-  d.trained = in.boolean();
-  d.crashed = in.boolean();
-  d.crash_fraction = in.f64();
-  d.slowdown = in.f64();
-  d.failed_attempts = static_cast<std::size_t>(in.u64());
-  d.energy_j = in.f64();
-  d.weights = in.vec_f32();
-  d.train_loss = in.f64();
-  d.num_samples = static_cast<std::size_t>(in.u64());
-  d.state = in.vec_f32();
+  o.compute_delay_s = in.f64();
+  o.upload_duration_s = in.f64();
+  o.occupancy_s = in.f64();
+  o.attempts = static_cast<std::size_t>(in.u64());
+  o.faults.upload_ok = in.boolean();
+  o.trained = in.boolean();
+  o.faults.crashed = in.boolean();
+  o.faults.crash_fraction = in.f64();
+  o.faults.slowdown = in.f64();
+  o.faults.failed_attempts = static_cast<std::size_t>(in.u64());
+  o.energy_j = in.f64();
+  o.update.weights = in.vec_f32();
+  o.update.train_loss = in.f64();
+  o.update.num_samples = static_cast<std::size_t>(in.u64());
+  o.state = in.vec_f32();
   if (d.user >= n_users) {
     throw CheckpointError("async state names in-flight user " +
                           std::to_string(d.user) + " of a " +
                           std::to_string(n_users) + "-user fleet");
   }
-  if (!std::isfinite(d.dispatch_time_s) || !std::isfinite(d.energy_j)) {
+  if (!std::isfinite(d.dispatch_time_s) || !std::isfinite(o.energy_j)) {
     throw CheckpointError("async state holds a non-finite in-flight record");
   }
   return d;
@@ -199,6 +188,131 @@ AsyncArrival load_arrival(util::ByteReader& in, std::size_t n_users) {
 constexpr std::size_t kMinDispatchBytes = 6 * 8 + 11 * 8 + 3 + 2 * 8;
 constexpr std::size_t kMinArrivalBytes = 4 * 8 + 3 * 8 + 2 * 8;
 
+/// Staleness is model_version - version; a version from the future would
+/// wrap it to ~2^64 (bogus discounts, silent stale drops).
+void check_version(std::size_t version, std::size_t model_version, const char* what) {
+  if (version > model_version) {
+    throw CheckpointError("async state holds " + std::string(what) +
+                          " trained against model version " + std::to_string(version) +
+                          ", beyond the saved model version " +
+                          std::to_string(model_version));
+  }
+}
+
+std::vector<std::uint8_t> AsyncState::save() const {
+  util::ByteWriter out;
+  out.u64(static_cast<std::uint64_t>(model_version));
+  out.u64(static_cast<std::uint64_t>(step));
+  out.u64(next_dispatch_id);
+  out.u64(resolutions);
+  out.u64(static_cast<std::uint64_t>(effective_k));
+  out.f64(now);
+  out.f64(uplink_free);
+  out.f64(step_start);
+  out.vec_u8(busy);
+  queue.save_state(out);
+  out.u64(in_flight.size());
+  for (const auto& [id, dispatch] : in_flight) save_dispatch(out, dispatch);
+  out.u64(buffer.size());
+  for (const AsyncArrival& arrival : buffer) save_arrival(out, arrival);
+  out.vec_size(acc.dispatched_users);
+  out.vec_f64(acc.dispatched_freqs);
+  out.vec_size(acc.resolved_users);
+  out.vec_f64(acc.resolved_freqs);
+  out.vec_u8(acc.resolved_completed);
+  out.u64(static_cast<std::uint64_t>(acc.crashed));
+  out.u64(static_cast<std::uint64_t>(acc.upload_failures));
+  out.u64(static_cast<std::uint64_t>(acc.dropped_stale));
+  out.u64(static_cast<std::uint64_t>(acc.retries));
+  out.f64(acc.step_energy);
+  out.f64(acc.step_wasted);
+  return out.take();
+}
+
+AsyncState AsyncState::load(std::span<const std::uint8_t> frame, std::size_t n_users) {
+  util::ByteReader in(frame);
+  AsyncState s;
+  s.model_version = static_cast<std::size_t>(in.u64());
+  s.step = static_cast<std::size_t>(in.u64());
+  s.next_dispatch_id = in.u64();
+  s.resolutions = in.u64();
+  s.effective_k = static_cast<std::size_t>(in.u64());
+  s.now = in.f64();
+  s.uplink_free = in.f64();
+  s.step_start = in.f64();
+  if (!std::isfinite(s.now) || !std::isfinite(s.uplink_free) ||
+      !std::isfinite(s.step_start) || s.now < 0.0) {
+    throw CheckpointError("async state holds a non-finite clock");
+  }
+  s.busy = in.vec_u8();
+  if (s.busy.size() != n_users) {
+    throw CheckpointError("async state holds a busy mask for " +
+                          std::to_string(s.busy.size()) + " users, expected " +
+                          std::to_string(n_users));
+  }
+  s.queue.load_state(in);
+  const std::uint64_t n_flight = in.u64();
+  if (n_flight > in.remaining() / kMinDispatchBytes) {
+    throw CheckpointError("async state declares " + std::to_string(n_flight) +
+                          " in-flight clients but only " +
+                          std::to_string(in.remaining()) +
+                          " byte(s) remain — corrupted or malformed");
+  }
+  for (std::uint64_t i = 0; i < n_flight; ++i) {
+    AsyncDispatch d = load_dispatch(in, n_users);
+    if (d.id >= s.next_dispatch_id) {
+      throw CheckpointError("async state holds an in-flight dispatch id " +
+                            std::to_string(d.id) + " beyond the dispatch counter");
+    }
+    check_version(d.version, s.model_version, "an in-flight dispatch");
+    const std::uint64_t id = d.id;
+    if (!s.in_flight.emplace(id, std::move(d)).second) {
+      throw CheckpointError("async state repeats in-flight dispatch id " +
+                            std::to_string(id));
+    }
+  }
+  const std::uint64_t n_buffer = in.u64();
+  if (n_buffer > in.remaining() / kMinArrivalBytes) {
+    throw CheckpointError("async state declares " + std::to_string(n_buffer) +
+                          " buffered updates but only " +
+                          std::to_string(in.remaining()) +
+                          " byte(s) remain — corrupted or malformed");
+  }
+  s.buffer.reserve(static_cast<std::size_t>(n_buffer));
+  for (std::uint64_t i = 0; i < n_buffer; ++i) {
+    s.buffer.push_back(load_arrival(in, n_users));
+    check_version(s.buffer.back().version, s.model_version, "a buffered update");
+  }
+  StepAccum& acc = s.acc;
+  acc.dispatched_users = in.vec_size();
+  acc.dispatched_freqs = in.vec_f64();
+  acc.resolved_users = in.vec_size();
+  acc.resolved_freqs = in.vec_f64();
+  acc.resolved_completed = in.vec_u8();
+  acc.crashed = static_cast<std::size_t>(in.u64());
+  acc.upload_failures = static_cast<std::size_t>(in.u64());
+  acc.dropped_stale = static_cast<std::size_t>(in.u64());
+  acc.retries = static_cast<std::size_t>(in.u64());
+  acc.step_energy = in.f64();
+  acc.step_wasted = in.f64();
+  in.expect_end("checkpoint async state");
+  if (acc.resolved_users.size() != acc.resolved_freqs.size() ||
+      acc.resolved_users.size() != acc.resolved_completed.size() ||
+      acc.dispatched_users.size() != acc.dispatched_freqs.size()) {
+    throw CheckpointError("async state step accumulators disagree in size");
+  }
+  // Every pending compute/upload/fault event must reference a live
+  // in-flight dispatch; a dangling tag would fault mid-run.
+  for (const Event& event : s.queue.sorted_events()) {
+    if (event.kind == EventKind::kChurn) continue;
+    if (s.in_flight.find(event.tag) == s.in_flight.end()) {
+      throw CheckpointError("async state queues an event for unknown dispatch id " +
+                            std::to_string(event.tag));
+    }
+  }
+  return s;
+}
+
 }  // namespace
 
 void AsyncOptions::validate() const {
@@ -227,750 +341,32 @@ AsyncTrainer::AsyncTrainer(nn::Sequential& model, const data::Dataset& train,
                            const mec::Channel& channel,
                            sched::SelectionStrategy& strategy,
                            TrainerOptions options, AsyncOptions async_options)
-    : model_(model),
-      test_(test),
-      devices_(devices),
-      channel_(channel),
-      strategy_(strategy),
-      options_(options),
-      async_(async_options) {
-  options_.validate(devices.size());
+    : async_(async_options) {
   async_.validate();
-  if (async_.mode == AsyncOptions::Mode::kAsync && async_.buffer_k > 0 &&
-      async_.buffer_k < options_.min_clients) {
+  if (async_.mode == AsyncOptions::Mode::kSync) {
+    sync_ = std::make_unique<FederatedTrainer>(model, train, test, partition, devices,
+                                               channel, strategy, std::move(options));
+    return;
+  }
+  world_ = std::make_unique<detail::RoundWorld>("AsyncTrainer", model, train, test,
+                                                partition, devices, channel, strategy,
+                                                std::move(options));
+  const std::size_t min_clients = world_->options.min_clients;
+  if (async_.buffer_k > 0 && async_.buffer_k < min_clients) {
     throw std::invalid_argument(
         "AsyncTrainer: buffer_k = " + std::to_string(async_.buffer_k) +
-        " is below min_clients = " + std::to_string(options_.min_clients) +
+        " is below min_clients = " + std::to_string(min_clients) +
         "; every aggregation would fail its quorum and the model would never "
         "move");
   }
-  if (devices.size() != partition.size()) {
-    throw std::invalid_argument("AsyncTrainer: device/partition size mismatch");
-  }
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    if (devices[i].num_samples != partition[i].size()) {
-      throw std::invalid_argument(
-          "AsyncTrainer: device " + std::to_string(i) + " declares " +
-          std::to_string(devices[i].num_samples) + " samples but partition has " +
-          std::to_string(partition[i].size()));
-    }
-  }
-
-  users_ = sched::build_user_info(devices, channel_, options_.model_size_bits);
-
-  user_data_.reserve(partition.size());
-  for (const auto& indices : partition) {
-    user_data_.push_back(train.gather(indices));
-  }
-
-  if (options_.battery_capacity_j > 0.0) {
-    batteries_ = mec::BatteryFleet(devices.size(), options_.battery_capacity_j);
-  }
 }
 
-TrainingHistory AsyncTrainer::run() {
-  return async_.mode == AsyncOptions::Mode::kSync ? run_sync_() : run_async_();
-}
+AsyncTrainer::~AsyncTrainer() = default;
 
-// The barrier engine, kept a statement-for-statement port of
-// FederatedTrainer::run() (fl/trainer.cpp) — every floating-point
-// operation, RNG fork, reduction order, and trace emission matches, so the
-// two produce bitwise-identical weights, CSV bytes, and traces
-// (tests/test_async_differential.cpp).  The single structural change: the
-// TDMA accept/drop stage is driven through fl::EventQueue.  Upload ends are
-// non-decreasing in grant order and seq breaks ties by insertion order, so
-// the (time, seq) pop order *is* the grant order and nothing observable
-// moves.
-TrainingHistory AsyncTrainer::run_sync_() {
-  strategy_.reset();
-  obs::Tracer* const tracer = options_.obs.tracer;
-  obs::PhaseProfiler* const profiler = options_.obs.profiler;
-  obs::Registry* const registry = options_.obs.registry;
-  strategy_.set_instruments(options_.obs);
+TrainingHistory AsyncTrainer::run() { return sync_ ? sync_->run() : run_async_(); }
 
-  const bool batteries_enabled = batteries_.size() > 0;
-  util::Rng batch_rng(options_.seed);
-  mec::FadingProcess fading(users_.size(), options_.fading,
-                            util::Rng(options_.seed).fork(0xFAD1A6));
-  mec::FaultInjector injector(users_.size(), options_.faults,
-                              util::Rng(options_.seed).fork(0xFA0175));
-  injector.set_tracer(tracer);
-  const std::size_t max_attempts = 1 + options_.max_upload_retries;
-
-  util::ThreadPool pool(util::ThreadPool::resolve_thread_count(options_.num_threads));
-  std::vector<std::unique_ptr<nn::Sequential>> replicas;
-  std::vector<nn::Sequential*> eval_models;
-  replicas.reserve(pool.worker_count());
-  for (std::size_t i = 0; i < pool.worker_count(); ++i) {
-    replicas.push_back(std::make_unique<nn::Sequential>(model_));
-    eval_models.push_back(replicas.back().get());
-  }
-  const bool has_state = nn::state_count(model_) > 0;
-
-  std::vector<float> global_weights = nn::extract_parameters(model_);
-  const EvalPlan eval_plan = make_eval_plan(test_, options_.eval_batch);
-  TrainingHistory history;
-  double cum_delay = 0.0;
-  double cum_energy = 0.0;
-  double cum_wasted_energy = 0.0;
-  double best_accuracy = -1.0;
-  std::uint64_t scratch_reported = tensor::scratch_realloc_count();
-
-  std::size_t start_round = 0;
-  if (!options_.resume_from.empty()) {
-    const Checkpoint ckpt = Checkpoint::read_file(options_.resume_from);
-    if (ckpt.n_users != users_.size()) {
-      throw CheckpointError("'" + options_.resume_from + "': saved for " +
-                            std::to_string(ckpt.n_users) +
-                            " users, this trainer has " +
-                            std::to_string(users_.size()));
-    }
-    if (ckpt.seed != options_.seed) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved under seed " +
-          std::to_string(ckpt.seed) + ", this trainer uses seed " +
-          std::to_string(options_.seed) +
-          " — resuming would silently diverge from the original run");
-    }
-    if (ckpt.strategy_name != strategy_.name()) {
-      throw CheckpointError("'" + options_.resume_from +
-                            "': saved with strategy '" + ckpt.strategy_name +
-                            "', this trainer uses '" + strategy_.name() + "'");
-    }
-    if (ckpt.global_weights.size() != global_weights.size()) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.global_weights.size()) +
-          " parameters, this trainer's model has " +
-          std::to_string(global_weights.size()));
-    }
-    if (ckpt.model_state.size() != nn::state_count(model_)) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.model_state.size()) +
-          " persistent state scalars, this trainer's model has " +
-          std::to_string(nn::state_count(model_)));
-    }
-    if (ckpt.batteries_enabled != batteries_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved with batteries " +
-          std::string(ckpt.batteries_enabled ? "enabled" : "disabled") +
-          ", this trainer has them " +
-          std::string(batteries_enabled ? "enabled" : "disabled"));
-    }
-    if (ckpt.async_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from +
-          "': saved mid-flight by the async engine; resume it with an "
-          "async-mode fl::AsyncTrainer (docs/ASYNC.md)");
-    }
-    mec::BatteryFleet restored_batteries;
-    try {
-      util::ByteReader injector_in(ckpt.injector_state);
-      injector.load_state(injector_in);
-      injector_in.expect_end("checkpoint injector state");
-      util::ByteReader fading_in(ckpt.fading_state);
-      fading.load_state(fading_in);
-      fading_in.expect_end("checkpoint fading state");
-      batch_rng.set_state(ckpt.batch_rng);
-      if (batteries_enabled) {
-        restored_batteries = batteries_;
-        util::ByteReader battery_in(ckpt.battery_state);
-        restored_batteries.load_state(battery_in);
-        battery_in.expect_end("checkpoint battery state");
-      }
-      util::ByteReader strategy_in(ckpt.strategy_state);
-      strategy_.load_state(strategy_in);
-      strategy_in.expect_end("checkpoint strategy state");
-    } catch (const std::exception& error) {
-      throw CheckpointError("'" + options_.resume_from + "': " + error.what());
-    }
-    if (batteries_enabled) batteries_ = std::move(restored_batteries);
-    if (!ckpt.model_state.empty()) nn::load_state(model_, ckpt.model_state);
-    global_weights = ckpt.global_weights;
-    for (const RoundRecord& record : ckpt.records) history.add(record);
-    cum_delay = ckpt.cum_delay_s;
-    cum_energy = ckpt.cum_energy_j;
-    cum_wasted_energy = ckpt.cum_wasted_energy_j;
-    best_accuracy = ckpt.best_accuracy;
-    start_round = static_cast<std::size_t>(ckpt.next_round);
-  }
-
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_start",
-                 {{"schema", std::size_t{1}},
-                  {"strategy", strategy_.name()},
-                  {"users", users_.size()},
-                  {"max_rounds", options_.max_rounds},
-                  {"threads", pool.worker_count() == 0 ? std::size_t{1}
-                                                       : pool.worker_count()},
-                  {"seed", options_.seed},
-                  {"faults_enabled", injector.active()}});
-  }
-  if (start_round > 0 && tracer != nullptr &&
-      tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "checkpoint_resume",
-                 {{"round", start_round},
-                  {"records", history.size()},
-                  {"cum_delay_s", cum_delay},
-                  {"cum_energy_j", cum_energy}});
-  }
-
-  const auto maybe_write_checkpoint = [&](std::size_t round) {
-    if (options_.checkpoint_every == 0) return;
-    const std::size_t completed = round + 1;
-    if (completed % options_.checkpoint_every != 0) return;
-    obs::ScopedSpan span(profiler, "checkpoint", static_cast<std::int64_t>(round));
-    Checkpoint ckpt;
-    ckpt.seed = options_.seed;
-    ckpt.n_users = users_.size();
-    ckpt.next_round = completed;
-    ckpt.cum_delay_s = cum_delay;
-    ckpt.cum_energy_j = cum_energy;
-    ckpt.cum_wasted_energy_j = cum_wasted_energy;
-    ckpt.best_accuracy = best_accuracy;
-    ckpt.trace_seq = tracer != nullptr ? tracer->event_count() : 0;
-    ckpt.global_weights = global_weights;
-    if (has_state) ckpt.model_state = nn::extract_state(model_);
-    ckpt.batch_rng = batch_rng.state();
-    ckpt.strategy_name = strategy_.name();
-    {
-      util::ByteWriter writer;
-      strategy_.save_state(writer);
-      ckpt.strategy_state = writer.take();
-    }
-    {
-      util::ByteWriter writer;
-      injector.save_state(writer);
-      ckpt.injector_state = writer.take();
-    }
-    {
-      util::ByteWriter writer;
-      fading.save_state(writer);
-      ckpt.fading_state = writer.take();
-    }
-    ckpt.batteries_enabled = batteries_enabled;
-    if (batteries_enabled) {
-      util::ByteWriter writer;
-      batteries_.save_state(writer);
-      ckpt.battery_state = writer.take();
-    }
-    ckpt.records = history.rounds();
-    std::string path = options_.checkpoint_path;
-    constexpr std::string_view kToken = "{round}";
-    for (std::size_t pos = path.find(kToken); pos != std::string::npos;
-         pos = path.find(kToken, pos)) {
-      const std::string value = std::to_string(completed);
-      path.replace(pos, kToken.size(), value);
-      pos += value.size();
-    }
-    ckpt.write_file(path);
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "checkpoint_write",
-                   {{"round", round},
-                    {"path", path},
-                    {"records", history.size()}});
-    }
-  };
-
-  for (std::size_t round = start_round; round < options_.max_rounds; ++round) {
-    if (batteries_enabled && batteries_.alive_count() == 0) {
-      util::log_info("AsyncTrainer[sync]: whole fleet depleted after round " +
-                     std::to_string(round));
-      break;
-    }
-
-    injector.begin_round();
-
-    sched::FleetView fleet{users_};
-    std::vector<std::uint8_t> selectable;
-    const std::span<const std::uint8_t> churn_mask = injector.availability();
-    if (batteries_enabled && !churn_mask.empty()) {
-      const std::span<const std::uint8_t> battery_mask = batteries_.alive_mask();
-      selectable.resize(users_.size());
-      for (std::size_t i = 0; i < users_.size(); ++i) {
-        selectable[i] = battery_mask[i] != 0 && churn_mask[i] != 0 ? 1 : 0;
-      }
-      fleet.alive = selectable;
-    } else if (batteries_enabled) {
-      fleet.alive = batteries_.alive_mask();
-    } else if (!churn_mask.empty()) {
-      fleet.alive = churn_mask;
-    }
-    const std::size_t available = fleet.alive_count();
-
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "round_start",
-                   {{"round", round},
-                    {"available", available},
-                    {"alive", batteries_enabled ? batteries_.alive_count()
-                                                : users_.size()}});
-    }
-
-    sched::Decision decision;
-    {
-      obs::ScopedSpan selection_span(profiler, "selection",
-                                     static_cast<std::int64_t>(round));
-      if (available > 0) decision = strategy_.decide(fleet, round);
-    }
-    if (decision.selected.empty()) {
-      if (injector.active() && injector.away_count() > 0) {
-        RoundRecord skipped;
-        skipped.round = round;
-        skipped.quorum_failed = true;
-        skipped.cum_delay_s = cum_delay;
-        skipped.cum_energy_j = cum_energy;
-        skipped.alive_users =
-            batteries_enabled ? batteries_.alive_count() : users_.size();
-        skipped.available_users = available;
-        history.add(std::move(skipped));
-        if (registry != nullptr) registry->add("rounds.skipped");
-        if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-          tracer->emit(obs::TraceLevel::kRound, "round_end",
-                       {{"round", round},
-                        {"selected", std::size_t{0}},
-                        {"survivors", std::size_t{0}},
-                        {"quorum_failed", true},
-                        {"cum_delay_s", cum_delay},
-                        {"cum_energy_j", cum_energy}});
-        }
-        maybe_write_checkpoint(round);
-        continue;
-      }
-      util::log_info("AsyncTrainer[sync]: strategy returned no users; stopping");
-      break;
-    }
-    if (decision.selected.size() != decision.frequencies_hz.size()) {
-      throw std::logic_error("AsyncTrainer: strategy returned a bad decision");
-    }
-
-    fading.step();
-
-    const std::size_t cohort = decision.selected.size();
-    std::vector<double> fade_multipliers(cohort, 1.0);
-    std::vector<util::Rng> client_rngs;
-    client_rngs.reserve(cohort);
-    std::vector<mec::ClientFaults> client_faults(cohort);
-    for (std::size_t k = 0; k < cohort; ++k) {
-      const std::size_t user = decision.selected[k];
-      const double f = decision.frequencies_hz[k];
-      if (!fleet.is_alive(user)) {
-        throw std::logic_error(
-            "AsyncTrainer: strategy selected an unavailable device");
-      }
-      const mec::Device& device = devices_[user];
-      if (f < device.f_min_hz - 1e-6 || f > device.f_max_hz + 1e-6) {
-        throw std::logic_error("AsyncTrainer: frequency outside DVFS range");
-      }
-      fade_multipliers[k] = fading.multiplier(user);
-      client_rngs.push_back(batch_rng.fork(round * users_.size() + user));
-      if (injector.active()) {
-        client_faults[k] = injector.draw(round, user, max_attempts);
-      }
-    }
-
-    const std::vector<float> round_state =
-        has_state ? nn::extract_state(model_) : std::vector<float>{};
-
-    std::vector<ClientOutcome> outcomes(cohort);
-    auto run_client = [&](std::size_t k) {
-      const std::size_t user = decision.selected[k];
-      obs::ScopedSpan client_span(profiler, "client",
-                                  static_cast<std::int64_t>(round),
-                                  static_cast<std::int64_t>(user),
-                                  obs::TraceLevel::kDebug);
-      const double f = decision.frequencies_hz[k];
-      const mec::ClientFaults faults = client_faults[k];
-      const mec::Device& device = devices_[user];
-
-      if (faults.crashed) {
-        ClientOutcome outcome;
-        outcome.compute_delay_s =
-            mec::compute_delay_s(device, f) * faults.slowdown * faults.crash_fraction;
-        outcome.energy_j = mec::compute_energy_j(device, f) * faults.crash_fraction;
-        outcomes[k] = std::move(outcome);
-        return;
-      }
-
-      const std::size_t worker = util::ThreadPool::worker_index();
-      nn::Sequential& model =
-          worker == util::ThreadPool::npos ? model_ : *replicas[worker];
-      if (has_state) nn::load_state(model, round_state);
-
-      util::Rng client_rng = client_rngs[k];
-      ClientOutcome outcome;
-      outcome.trained = true;
-      outcome.update = local_update(model, global_weights, user_data_[user],
-                                    options_.client, client_rng);
-
-      const nn::CompressedModel compressed =
-          nn::compress(outcome.update.weights, options_.compression);
-      const double compression_ratio =
-          static_cast<double>(compressed.wire_bits) /
-          (32.0 * static_cast<double>(outcome.update.weights.size()));
-      const double wire_bits = options_.model_size_bits * compression_ratio;
-      outcome.update.weights = std::move(compressed.reconstructed);
-
-      mec::Device faded = device;
-      faded.channel_gain_sq *= fade_multipliers[k];
-
-      outcome.compute_delay_s = mec::compute_delay_s(device, f) * faults.slowdown;
-      outcome.upload_duration_s = mec::upload_delay_s(faded, channel_, wire_bits);
-      outcome.attempts = faults.attempts();
-      outcome.upload_ok = faults.upload_ok;
-      outcome.energy_j = mec::compute_energy_j(device, f) +
-                         static_cast<double>(outcome.attempts) *
-                             mec::upload_energy_j(faded, channel_, wire_bits);
-      if (has_state) outcome.state = nn::extract_state(model);
-      outcomes[k] = std::move(outcome);
-    };
-
-    obs::ScopedSpan training_span(profiler, "local_training",
-                                  static_cast<std::int64_t>(round));
-    if (pool.worker_count() == 0) {
-      for (std::size_t k = 0; k < cohort; ++k) run_client(k);
-    } else {
-      std::vector<std::future<void>> futures;
-      futures.reserve(cohort);
-      for (std::size_t k = 0; k < cohort; ++k) {
-        futures.push_back(pool.submit([&run_client, k] { run_client(k); }));
-      }
-      std::string failures;
-      std::size_t failure_count = 0;
-      for (std::size_t k = 0; k < futures.size(); ++k) {
-        try {
-          futures[k].get();
-        } catch (const std::exception& error) {
-          ++failure_count;
-          if (!failures.empty()) failures += "; ";
-          failures += "client " + std::to_string(k) + " (user " +
-                      std::to_string(decision.selected[k]) + "): " + error.what();
-        } catch (...) {
-          ++failure_count;
-          if (!failures.empty()) failures += "; ";
-          failures += "client " + std::to_string(k) + " (user " +
-                      std::to_string(decision.selected[k]) + "): unknown exception";
-        }
-      }
-      if (failure_count > 0) {
-        throw std::runtime_error(
-            "AsyncTrainer: " + std::to_string(failure_count) +
-            " client task(s) failed in round " + std::to_string(round) + ": " +
-            failures);
-      }
-    }
-    training_span.finish();
-
-    std::vector<std::size_t> transmitting;
-    std::vector<double> tx_compute_delays;
-    std::vector<double> tx_occupancies;
-    for (std::size_t k = 0; k < cohort; ++k) {
-      if (!outcomes[k].trained) continue;
-      transmitting.push_back(k);
-      tx_compute_delays.push_back(outcomes[k].compute_delay_s);
-      const double occupancy =
-          outcomes[k].attempts <= 1
-              ? outcomes[k].upload_duration_s
-              : static_cast<double>(outcomes[k].attempts) *
-                        outcomes[k].upload_duration_s +
-                    static_cast<double>(outcomes[k].attempts - 1) *
-                        options_.retry_backoff_s;
-      tx_occupancies.push_back(occupancy);
-    }
-    const mec::TdmaSchedule schedule =
-        mec::schedule_uploads(tx_compute_delays, tx_occupancies);
-
-    // The one structural departure from fl/trainer.cpp: arrivals flow
-    // through the event queue.  One kUploadFinish per granted slot, pushed
-    // in grant order; upload_end is non-decreasing in grant order, so the
-    // deterministic (time, seq) pop order reproduces the grant order
-    // exactly and the accept/drop pass below is bitwise unchanged.
-    const double cutoff = options_.straggler_cutoff_s;
-    const bool trace_tdma =
-        tracer != nullptr && tracer->enabled(obs::TraceLevel::kDecision);
-    EventQueue arrivals;
-    for (std::size_t i = 0; i < schedule.slots.size(); ++i) {
-      const mec::UploadSlot& slot = schedule.slots[i];
-      arrivals.push(slot.upload_end, EventKind::kUploadFinish,
-                    decision.selected[transmitting[slot.index]], /*tag=*/i);
-    }
-    while (!arrivals.empty()) {
-      const Event event = arrivals.pop();
-      const mec::UploadSlot& slot = schedule.slots[event.tag];
-      const std::size_t k = transmitting[slot.index];
-      ClientOutcome& outcome = outcomes[k];
-      if (outcome.upload_ok) {
-        if (slot.upload_end <= cutoff) {
-          outcome.accepted = true;
-        } else {
-          outcome.dropped_late = true;
-        }
-      }
-      if (trace_tdma) {
-        tracer->emit(obs::TraceLevel::kDecision, "tdma",
-                     {{"round", round},
-                      {"user", decision.selected[k]},
-                      {"attempts", outcome.attempts},
-                      {"compute_end_s", slot.compute_end},
-                      {"upload_start_s", slot.upload_start},
-                      {"upload_end_s", slot.upload_end},
-                      {"slack_s", slot.slack_s},
-                      {"accepted", outcome.accepted},
-                      {"dropped_late", outcome.dropped_late}});
-      }
-    }
-    const double round_delay = std::min(schedule.round_delay_s, cutoff);
-
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      for (std::size_t k = 0; k < cohort; ++k) {
-        const std::size_t user = decision.selected[k];
-        const mec::ClientFaults& faults = client_faults[k];
-        if (faults.crashed) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "crash"},
-                        {"crash_fraction", faults.crash_fraction}});
-        }
-        if (faults.slowdown > 1.0) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "straggler"},
-                        {"slowdown", faults.slowdown}});
-        }
-        if (faults.failed_attempts > 0) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "upload_failure"},
-                        {"failed_attempts", faults.failed_attempts},
-                        {"upload_ok", faults.upload_ok}});
-        }
-        if (outcomes[k].dropped_late) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "dropped_late"},
-                        {"cutoff_s", cutoff}});
-        }
-      }
-    }
-
-    obs::ScopedSpan aggregation_span(profiler, "aggregation",
-                                     static_cast<std::int64_t>(round));
-    std::vector<double> user_energies;
-    std::vector<double> client_losses;
-    std::vector<std::size_t> survivors;
-    double round_energy = 0.0;
-    double train_loss_sum = 0.0;
-    std::size_t trained_count = 0;
-    std::size_t crashed_count = 0;
-    std::size_t upload_failure_count = 0;
-    std::size_t dropped_late_count = 0;
-    std::size_t retry_count = 0;
-    double wasted_energy = 0.0;
-    for (std::size_t k = 0; k < cohort; ++k) {
-      const ClientOutcome& outcome = outcomes[k];
-      if (outcome.trained) {
-        train_loss_sum += outcome.update.train_loss;
-        ++trained_count;
-        retry_count += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
-        if (!outcome.upload_ok) ++upload_failure_count;
-        if (outcome.dropped_late) ++dropped_late_count;
-        if (outcome.accepted) survivors.push_back(k);
-      } else {
-        ++crashed_count;
-      }
-      user_energies.push_back(outcome.energy_j);
-      round_energy += outcome.energy_j;
-      if (!outcome.accepted) wasted_energy += outcome.energy_j;
-    }
-
-    const bool quorum_met = survivors.size() >= options_.min_clients;
-    if (!quorum_met && tracer != nullptr &&
-        tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "quorum",
-                   {{"round", round},
-                    {"survivors", survivors.size()},
-                    {"min_clients", options_.min_clients}});
-    }
-    if (quorum_met) {
-      std::vector<WeightedModel> uploads;
-      uploads.reserve(survivors.size());
-      for (const std::size_t k : survivors) {
-        uploads.push_back({outcomes[k].update.weights, outcomes[k].update.num_samples});
-      }
-      global_weights = fedavg(uploads);
-      for (const std::size_t k : survivors) {
-        client_losses.push_back(outcomes[k].update.train_loss);
-      }
-      if (survivors.size() == cohort) {
-        strategy_.observe(round, decision, client_losses);
-      } else {
-        sched::Decision survivor_decision;
-        survivor_decision.selected.reserve(survivors.size());
-        survivor_decision.frequencies_hz.reserve(survivors.size());
-        for (const std::size_t k : survivors) {
-          survivor_decision.selected.push_back(decision.selected[k]);
-          survivor_decision.frequencies_hz.push_back(decision.frequencies_hz[k]);
-        }
-        strategy_.observe(round, survivor_decision, client_losses);
-      }
-      if (has_state) nn::load_state(model_, outcomes[survivors.back()].state);
-    } else {
-      wasted_energy = round_energy;
-    }
-
-    std::vector<std::uint8_t> completed(cohort, 0);
-    if (quorum_met) {
-      for (const std::size_t k : survivors) completed[k] = 1;
-    }
-    strategy_.report_completion(round, decision, completed);
-    aggregation_span.finish();
-
-    if (batteries_enabled) {
-      for (std::size_t k = 0; k < cohort; ++k) {
-        batteries_.drain(decision.selected[k], user_energies[k]);
-      }
-    }
-
-    cum_delay += round_delay;
-    cum_energy += round_energy;
-
-    RoundRecord record;
-    record.round = round;
-    record.selected = decision.selected;
-    record.round_delay_s = round_delay;
-    record.round_energy_j = round_energy;
-    record.cum_delay_s = cum_delay;
-    record.cum_energy_j = cum_energy;
-    record.train_loss =
-        trained_count > 0 ? train_loss_sum / static_cast<double>(trained_count) : 0.0;
-    record.alive_users =
-        batteries_enabled ? batteries_.alive_count() : users_.size();
-    record.available_users = available;
-    if (quorum_met) {
-      record.aggregated.reserve(survivors.size());
-      for (const std::size_t k : survivors) {
-        record.aggregated.push_back(decision.selected[k]);
-      }
-    }
-    record.survivors = record.aggregated.size();
-    record.crashed = crashed_count;
-    record.upload_failures = upload_failure_count;
-    record.dropped_late = dropped_late_count;
-    record.retries = retry_count;
-    record.quorum_failed = !quorum_met;
-    record.wasted_energy_j = wasted_energy;
-
-    const bool last_round = round + 1 == options_.max_rounds;
-    const bool over_deadline = cum_delay > options_.deadline_s;
-    if (round % options_.eval_every == 0 || last_round || over_deadline) {
-      obs::ScopedSpan eval_span(profiler, "evaluation",
-                                static_cast<std::int64_t>(round));
-      Evaluation eval;
-      if (pool.worker_count() == 0) {
-        eval = evaluate(model_, global_weights, eval_plan);
-      } else {
-        if (has_state) {
-          const std::vector<float> eval_state = nn::extract_state(model_);
-          for (nn::Sequential* replica : eval_models) {
-            nn::load_state(*replica, eval_state);
-          }
-        }
-        eval = evaluate_parallel(eval_models, global_weights, eval_plan, pool);
-      }
-      record.evaluated = true;
-      record.test_loss = eval.loss;
-      record.test_accuracy = eval.accuracy;
-    }
-    const bool target_reached = record.evaluated && options_.target_accuracy >= 0.0 &&
-                                record.test_accuracy >= options_.target_accuracy;
-
-    cum_wasted_energy += wasted_energy;
-    if (registry != nullptr) {
-      registry->add("rounds.completed");
-      registry->add("clients.selected", cohort);
-      registry->add("clients.trained", trained_count);
-      registry->add("clients.crashed", crashed_count);
-      registry->add("clients.dropped_late", dropped_late_count);
-      registry->add("clients.aggregated", record.survivors);
-      registry->add("uploads.failed", upload_failure_count);
-      registry->add("uploads.retries", retry_count);
-      if (!quorum_met) registry->add("rounds.quorum_failed");
-      const std::uint64_t scratch_now = tensor::scratch_realloc_count();
-      registry->add("kernel.scratch_reallocs", scratch_now - scratch_reported);
-      scratch_reported = scratch_now;
-      registry->set_gauge("delay.cum_s", cum_delay);
-      registry->set_gauge("energy.cum_j", cum_energy);
-      registry->set_gauge("energy.wasted_cum_j", cum_wasted_energy);
-      if (record.evaluated) {
-        best_accuracy = std::max(best_accuracy, record.test_accuracy);
-        registry->set_gauge("accuracy.last", record.test_accuracy);
-        registry->set_gauge("accuracy.best", best_accuracy);
-      }
-    }
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      std::vector<obs::Field> fields = {
-          {"round", round},
-          {"selected", cohort},
-          {"survivors", record.survivors},
-          {"crashed", crashed_count},
-          {"upload_failures", upload_failure_count},
-          {"dropped_late", dropped_late_count},
-          {"retries", retry_count},
-          {"quorum_failed", !quorum_met},
-          {"round_delay_s", round_delay},
-          {"round_energy_j", round_energy},
-          {"wasted_energy_j", wasted_energy},
-          {"cum_delay_s", cum_delay},
-          {"cum_energy_j", cum_energy},
-          {"train_loss", record.train_loss}};
-      if (record.evaluated) {
-        fields.emplace_back("test_loss", record.test_loss);
-        fields.emplace_back("test_accuracy", record.test_accuracy);
-      }
-      tracer->emit(obs::TraceLevel::kRound, "round_end", fields);
-    }
-    history.add(std::move(record));
-    maybe_write_checkpoint(round);
-
-    if (over_deadline) {
-      util::log_info("AsyncTrainer[sync]: deadline reached after round " +
-                     std::to_string(round));
-      break;
-    }
-    if (target_reached) break;
-
-    if (options_.convergence_window >= 2 &&
-        history.size() >= options_.convergence_window) {
-      double lo = history.rounds()[history.size() - 1].train_loss;
-      double hi = lo;
-      for (std::size_t k = 2; k <= options_.convergence_window; ++k) {
-        const double loss = history.rounds()[history.size() - k].train_loss;
-        lo = std::min(lo, loss);
-        hi = std::max(hi, loss);
-      }
-      if (hi - lo < options_.convergence_epsilon) {
-        util::log_info("AsyncTrainer[sync]: converged after round " +
-                       std::to_string(round));
-        break;
-      }
-    }
-  }
-
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_end",
-                 {{"rounds", history.size()},
-                  {"cum_delay_s", cum_delay},
-                  {"cum_energy_j", cum_energy},
-                  {"wasted_energy_cum_j", cum_wasted_energy}});
-    tracer->flush();
-  }
-
-  nn::load_parameters(model_, global_weights);
-  return history;
+sched::FleetView AsyncTrainer::fleet_view() const {
+  return sync_ ? sync_->fleet_view() : sched::FleetView{world_->users};
 }
 
 // The event-driven FedBuff engine (docs/ASYNC.md).  A single deterministic
@@ -982,272 +378,45 @@ TrainingHistory AsyncTrainer::run_sync_() {
 // the sync engine: it owns a RoundRecord, the observe/report_completion
 // calls, the eval cadence, and the stop checks.
 TrainingHistory AsyncTrainer::run_async_() {
-  strategy_.reset();
-  obs::Tracer* const tracer = options_.obs.tracer;
-  obs::PhaseProfiler* const profiler = options_.obs.profiler;
-  obs::Registry* const registry = options_.obs.registry;
-  strategy_.set_instruments(options_.obs);
+  detail::RoundWorld& world = *world_;
+  const TrainerOptions& options = world.options;
+  const std::size_t n_users = world.users.size();
+  mec::BatteryFleet& batteries = world.batteries;
+  detail::RunState run(world);
+  obs::Tracer* const tracer = run.tracer;
+  obs::PhaseProfiler* const profiler = run.profiler;
+  obs::Registry* const registry = run.registry;
+  const bool batteries_enabled = run.batteries_enabled;
+  mec::FaultInjector& injector = run.injector;
 
-  const bool batteries_enabled = batteries_.size() > 0;
-  util::Rng batch_rng(options_.seed);
-  mec::FadingProcess fading(users_.size(), options_.fading,
-                            util::Rng(options_.seed).fork(0xFAD1A6));
-  mec::FaultInjector injector(users_.size(), options_.faults,
-                              util::Rng(options_.seed).fork(0xFA0175));
-  injector.set_tracer(tracer);
-  const std::size_t max_attempts = 1 + options_.max_upload_retries;
-
-  util::ThreadPool pool(util::ThreadPool::resolve_thread_count(options_.num_threads));
-  std::vector<std::unique_ptr<nn::Sequential>> replicas;
-  std::vector<nn::Sequential*> eval_models;
-  replicas.reserve(pool.worker_count());
-  for (std::size_t i = 0; i < pool.worker_count(); ++i) {
-    replicas.push_back(std::make_unique<nn::Sequential>(model_));
-    eval_models.push_back(replicas.back().get());
-  }
-  const bool has_state = nn::state_count(model_) > 0;
-
-  std::vector<float> global_weights = nn::extract_parameters(model_);
-  const EvalPlan eval_plan = make_eval_plan(test_, options_.eval_batch);
-  TrainingHistory history;
-  double cum_energy = 0.0;
-  double cum_wasted_energy = 0.0;
-  double best_accuracy = -1.0;
-  std::uint64_t scratch_reported = tensor::scratch_realloc_count();
-
-  // --- engine state (everything a v3 checkpoint snapshots) ---
-  EventQueue queue;
-  double now = 0.0;               ///< global clock; monotone through pops
-  double uplink_free = 0.0;       ///< rolling TDMA cursor
-  double step_start = 0.0;
-  std::size_t model_version = 0;  ///< quorum-met aggregations; staleness base
-  std::size_t step = 0;           ///< all aggregations; the record "round"
-  std::uint64_t next_dispatch_id = 0;
-  std::uint64_t resolutions = 0;  ///< checkpoint-cadence counter
-  std::size_t effective_k = async_.buffer_k;  ///< 0 until the first cohort fixes it
-  std::vector<std::uint8_t> busy(users_.size(), 0);
-  std::map<std::uint64_t, AsyncDispatch> in_flight;  ///< keyed by dispatch id
-  std::vector<AsyncArrival> buffer;
-  StepAccum acc;
+  AsyncState st;
+  st.effective_k = async_.buffer_k;
+  st.busy.assign(n_users, 0);
   bool stopping = false;
 
   // Anti-livelock: a hard cap on total dispatches, far above anything a
   // normal run uses (the sync engine dispatches at most max_rounds x fleet).
   const std::uint64_t dispatch_cap =
-      static_cast<std::uint64_t>(options_.max_rounds + 1) * users_.size();
+      static_cast<std::uint64_t>(options.max_rounds + 1) * n_users;
 
-  // --- checkpoint resume (parse-then-commit, as in the sync engine) ---
-  bool resumed = false;
-  if (!options_.resume_from.empty()) {
-    const Checkpoint ckpt = Checkpoint::read_file(options_.resume_from);
-    if (ckpt.n_users != users_.size()) {
-      throw CheckpointError("'" + options_.resume_from + "': saved for " +
-                            std::to_string(ckpt.n_users) +
-                            " users, this trainer has " +
-                            std::to_string(users_.size()));
-    }
-    if (ckpt.seed != options_.seed) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved under seed " +
-          std::to_string(ckpt.seed) + ", this trainer uses seed " +
-          std::to_string(options_.seed) +
-          " — resuming would silently diverge from the original run");
-    }
-    if (ckpt.strategy_name != strategy_.name()) {
-      throw CheckpointError("'" + options_.resume_from +
-                            "': saved with strategy '" + ckpt.strategy_name +
-                            "', this trainer uses '" + strategy_.name() + "'");
-    }
-    if (ckpt.global_weights.size() != global_weights.size()) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.global_weights.size()) +
-          " parameters, this trainer's model has " +
-          std::to_string(global_weights.size()));
-    }
-    if (ckpt.model_state.size() != nn::state_count(model_)) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.model_state.size()) +
-          " persistent state scalars, this trainer's model has " +
-          std::to_string(nn::state_count(model_)));
-    }
-    if (ckpt.batteries_enabled != batteries_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved with batteries " +
-          std::string(ckpt.batteries_enabled ? "enabled" : "disabled") +
-          ", this trainer has them " +
-          std::string(batteries_enabled ? "enabled" : "disabled"));
-    }
-    if (!ckpt.async_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from +
-          "': saved by the sync engine; resume it with FederatedTrainer or "
-          "an AsyncTrainer in --mode=sync (docs/ASYNC.md)");
-    }
+  // Checkpoint resume: the async frame is parsed with everything else
+  // before anything commits.
+  AsyncState restored;
+  const bool resumed = run.resume(/*async_engine=*/true, [&](const Checkpoint& ckpt) {
+                          restored = AsyncState::load(ckpt.async_state, n_users);
+                        }).has_value();
+  if (resumed) st = std::move(restored);
 
-    // Parse every engine structure into locals before mutating anything.
-    EventQueue restored_queue;
-    std::map<std::uint64_t, AsyncDispatch> restored_flight;
-    std::vector<AsyncArrival> restored_buffer;
-    std::vector<std::uint8_t> restored_busy;
-    StepAccum restored_acc;
-    std::size_t r_model_version = 0, r_step = 0, r_effective_k = 0;
-    std::uint64_t r_next_id = 0, r_resolutions = 0;
-    double r_now = 0.0, r_uplink = 0.0, r_step_start = 0.0;
-    mec::BatteryFleet restored_batteries;
-    try {
-      util::ByteReader in(ckpt.async_state);
-      r_model_version = static_cast<std::size_t>(in.u64());
-      r_step = static_cast<std::size_t>(in.u64());
-      r_next_id = in.u64();
-      r_resolutions = in.u64();
-      r_effective_k = static_cast<std::size_t>(in.u64());
-      r_now = in.f64();
-      r_uplink = in.f64();
-      r_step_start = in.f64();
-      if (!std::isfinite(r_now) || !std::isfinite(r_uplink) ||
-          !std::isfinite(r_step_start) || r_now < 0.0) {
-        throw CheckpointError("async state holds a non-finite clock");
-      }
-      restored_busy = in.vec_u8();
-      if (restored_busy.size() != users_.size()) {
-        throw CheckpointError(
-            "async state holds a busy mask for " +
-            std::to_string(restored_busy.size()) + " users, expected " +
-            std::to_string(users_.size()));
-      }
-      restored_queue.load_state(in);
-      const std::uint64_t n_flight = in.u64();
-      if (n_flight > in.remaining() / kMinDispatchBytes) {
-        throw CheckpointError(
-            "async state declares " + std::to_string(n_flight) +
-            " in-flight clients but only " + std::to_string(in.remaining()) +
-            " byte(s) remain — corrupted or malformed");
-      }
-      for (std::uint64_t i = 0; i < n_flight; ++i) {
-        AsyncDispatch d = load_dispatch(in, users_.size());
-        if (d.id >= r_next_id) {
-          throw CheckpointError("async state holds an in-flight dispatch id " +
-                                std::to_string(d.id) +
-                                " beyond the dispatch counter");
-        }
-        const std::uint64_t id = d.id;
-        if (!restored_flight.emplace(id, std::move(d)).second) {
-          throw CheckpointError("async state repeats in-flight dispatch id " +
-                                std::to_string(id));
-        }
-      }
-      const std::uint64_t n_buffer = in.u64();
-      if (n_buffer > in.remaining() / kMinArrivalBytes) {
-        throw CheckpointError(
-            "async state declares " + std::to_string(n_buffer) +
-            " buffered updates but only " + std::to_string(in.remaining()) +
-            " byte(s) remain — corrupted or malformed");
-      }
-      restored_buffer.reserve(static_cast<std::size_t>(n_buffer));
-      for (std::uint64_t i = 0; i < n_buffer; ++i) {
-        restored_buffer.push_back(load_arrival(in, users_.size()));
-      }
-      restored_acc.dispatched_users = in.vec_size();
-      restored_acc.dispatched_freqs = in.vec_f64();
-      restored_acc.resolved_users = in.vec_size();
-      restored_acc.resolved_freqs = in.vec_f64();
-      restored_acc.resolved_completed = in.vec_u8();
-      restored_acc.crashed = static_cast<std::size_t>(in.u64());
-      restored_acc.upload_failures = static_cast<std::size_t>(in.u64());
-      restored_acc.dropped_stale = static_cast<std::size_t>(in.u64());
-      restored_acc.retries = static_cast<std::size_t>(in.u64());
-      restored_acc.step_energy = in.f64();
-      restored_acc.step_wasted = in.f64();
-      in.expect_end("checkpoint async state");
-      if (restored_acc.resolved_users.size() != restored_acc.resolved_freqs.size() ||
-          restored_acc.resolved_users.size() !=
-              restored_acc.resolved_completed.size() ||
-          restored_acc.dispatched_users.size() !=
-              restored_acc.dispatched_freqs.size()) {
-        throw CheckpointError("async state step accumulators disagree in size");
-      }
-      // Every pending compute/upload/fault event must reference a live
-      // in-flight dispatch; a dangling tag would fault mid-run.
-      for (const Event& event : restored_queue.sorted_events()) {
-        if (event.kind == EventKind::kChurn) continue;
-        if (restored_flight.find(event.tag) == restored_flight.end()) {
-          throw CheckpointError(
-              "async state queues an event for unknown dispatch id " +
-              std::to_string(event.tag));
-        }
-      }
-
-      util::ByteReader injector_in(ckpt.injector_state);
-      injector.load_state(injector_in);
-      injector_in.expect_end("checkpoint injector state");
-      util::ByteReader fading_in(ckpt.fading_state);
-      fading.load_state(fading_in);
-      fading_in.expect_end("checkpoint fading state");
-      batch_rng.set_state(ckpt.batch_rng);
-      if (batteries_enabled) {
-        restored_batteries = batteries_;
-        util::ByteReader battery_in(ckpt.battery_state);
-        restored_batteries.load_state(battery_in);
-        battery_in.expect_end("checkpoint battery state");
-      }
-      util::ByteReader strategy_in(ckpt.strategy_state);
-      strategy_.load_state(strategy_in);
-      strategy_in.expect_end("checkpoint strategy state");
-    } catch (const CheckpointError& error) {
-      throw CheckpointError("'" + options_.resume_from + "': " + error.what());
-    } catch (const std::exception& error) {
-      throw CheckpointError("'" + options_.resume_from + "': " + error.what());
-    }
-    // Commit — nothing below throws.
-    if (batteries_enabled) batteries_ = std::move(restored_batteries);
-    if (!ckpt.model_state.empty()) nn::load_state(model_, ckpt.model_state);
-    global_weights = ckpt.global_weights;
-    for (const RoundRecord& record : ckpt.records) history.add(record);
-    cum_energy = ckpt.cum_energy_j;
-    cum_wasted_energy = ckpt.cum_wasted_energy_j;
-    best_accuracy = ckpt.best_accuracy;
-    queue = std::move(restored_queue);
-    in_flight = std::move(restored_flight);
-    buffer = std::move(restored_buffer);
-    busy = std::move(restored_busy);
-    acc = std::move(restored_acc);
-    model_version = r_model_version;
-    step = r_step;
-    next_dispatch_id = r_next_id;
-    resolutions = r_resolutions;
-    effective_k = r_effective_k;
-    now = r_now;
-    uplink_free = r_uplink;
-    step_start = r_step_start;
-    resumed = true;
-  }
-
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_start",
-                 {{"schema", std::size_t{1}},
-                  {"strategy", strategy_.name()},
-                  {"users", users_.size()},
-                  {"max_rounds", options_.max_rounds},
-                  {"threads", pool.worker_count() == 0 ? std::size_t{1}
-                                                       : pool.worker_count()},
-                  {"seed", options_.seed},
-                  {"faults_enabled", injector.active()},
-                  {"mode", std::string_view("async")},
-                  {"buffer_k", async_.buffer_k},
-                  {"staleness_beta", async_.staleness_beta},
-                  {"staleness_bound", async_.staleness_bound}});
-  }
-  if (resumed && tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "checkpoint_resume",
-                 {{"round", step},
-                  {"records", history.size()},
-                  {"cum_delay_s", now},
-                  {"cum_energy_j", cum_energy},
-                  {"resolutions", resolutions},
-                  {"in_flight", in_flight.size()},
-                  {"buffered", buffer.size()}});
+  const obs::Field run_fields[] = {{"mode", std::string_view("async")},
+                                   {"buffer_k", async_.buffer_k},
+                                   {"staleness_beta", async_.staleness_beta},
+                                   {"staleness_bound", async_.staleness_bound}};
+  run.emit_run_start(run_fields);
+  if (resumed) {
+    const obs::Field resume_fields[] = {{"resolutions", st.resolutions},
+                                        {"in_flight", st.in_flight.size()},
+                                        {"buffered", st.buffer.size()}};
+    run.emit_resumed(st.step, st.now, resume_fields);
   }
 
   // Cadenced snapshot writer.  The async cadence is counted in event
@@ -1256,119 +425,36 @@ TrainingHistory AsyncTrainer::run_async_() {
   // non-empty event queue, in-flight clients, and a partial buffer.  The
   // {round} path token expands to the resolution count.
   const auto maybe_write_checkpoint = [&]() {
-    if (options_.checkpoint_every == 0) return;
-    if (resolutions == 0 || resolutions % options_.checkpoint_every != 0) return;
-    obs::ScopedSpan span(profiler, "checkpoint",
-                         static_cast<std::int64_t>(resolutions));
-    Checkpoint ckpt;
-    ckpt.seed = options_.seed;
-    ckpt.n_users = users_.size();
-    ckpt.next_round = step;
-    ckpt.cum_delay_s = now;
-    ckpt.cum_energy_j = cum_energy;
-    ckpt.cum_wasted_energy_j = cum_wasted_energy;
-    ckpt.best_accuracy = best_accuracy;
-    ckpt.trace_seq = tracer != nullptr ? tracer->event_count() : 0;
-    ckpt.global_weights = global_weights;
-    if (has_state) ckpt.model_state = nn::extract_state(model_);
-    ckpt.batch_rng = batch_rng.state();
-    ckpt.strategy_name = strategy_.name();
-    {
-      util::ByteWriter writer;
-      strategy_.save_state(writer);
-      ckpt.strategy_state = writer.take();
+    if (options.checkpoint_every == 0 || st.resolutions == 0 ||
+        st.resolutions % options.checkpoint_every != 0) {
+      return;
     }
-    {
-      util::ByteWriter writer;
-      injector.save_state(writer);
-      ckpt.injector_state = writer.take();
-    }
-    {
-      util::ByteWriter writer;
-      fading.save_state(writer);
-      ckpt.fading_state = writer.take();
-    }
-    ckpt.batteries_enabled = batteries_enabled;
-    if (batteries_enabled) {
-      util::ByteWriter writer;
-      batteries_.save_state(writer);
-      ckpt.battery_state = writer.take();
-    }
+    obs::ScopedSpan span(profiler, "checkpoint", static_cast<std::int64_t>(st.resolutions));
+    Checkpoint ckpt = run.snapshot(st.step, st.now);
     ckpt.async_enabled = true;
-    {
-      util::ByteWriter out;
-      out.u64(static_cast<std::uint64_t>(model_version));
-      out.u64(static_cast<std::uint64_t>(step));
-      out.u64(next_dispatch_id);
-      out.u64(resolutions);
-      out.u64(static_cast<std::uint64_t>(effective_k));
-      out.f64(now);
-      out.f64(uplink_free);
-      out.f64(step_start);
-      out.vec_u8(busy);
-      queue.save_state(out);
-      out.u64(in_flight.size());
-      for (const auto& [id, dispatch] : in_flight) save_dispatch(out, dispatch);
-      out.u64(buffer.size());
-      for (const AsyncArrival& arrival : buffer) save_arrival(out, arrival);
-      out.vec_size(acc.dispatched_users);
-      out.vec_f64(acc.dispatched_freqs);
-      out.vec_size(acc.resolved_users);
-      out.vec_f64(acc.resolved_freqs);
-      out.vec_u8(acc.resolved_completed);
-      out.u64(static_cast<std::uint64_t>(acc.crashed));
-      out.u64(static_cast<std::uint64_t>(acc.upload_failures));
-      out.u64(static_cast<std::uint64_t>(acc.dropped_stale));
-      out.u64(static_cast<std::uint64_t>(acc.retries));
-      out.f64(acc.step_energy);
-      out.f64(acc.step_wasted);
-      ckpt.async_state = out.take();
-    }
-    ckpt.records = history.rounds();
-    std::string path = options_.checkpoint_path;
-    constexpr std::string_view kToken = "{round}";
-    for (std::size_t pos = path.find(kToken); pos != std::string::npos;
-         pos = path.find(kToken, pos)) {
-      const std::string value = std::to_string(resolutions);
-      path.replace(pos, kToken.size(), value);
-      pos += value.size();
-    }
-    ckpt.write_file(path);
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "checkpoint_write",
-                   {{"round", resolutions},
-                    {"path", path},
-                    {"records", history.size()}});
-    }
+    ckpt.async_state = st.save();
+    run.write_checkpoint(ckpt, st.resolutions, st.resolutions);
   };
 
   // Dispatches every idle selectable device the strategy picks, trains the
   // new cohort (in parallel), and schedules each client's next event.
   // Called at every churn boundary and after every resolution.
   const auto try_dispatch = [&]() {
-    if (next_dispatch_id >= dispatch_cap) return;
-    sched::FleetView fleet{users_};
-    std::vector<std::uint8_t> selectable(users_.size(), 0);
-    const std::span<const std::uint8_t> churn_mask = injector.availability();
-    const std::span<const std::uint8_t> battery_mask =
-        batteries_enabled ? batteries_.alive_mask()
-                          : std::span<const std::uint8_t>{};
+    if (st.next_dispatch_id >= dispatch_cap) return;
+    std::vector<std::uint8_t> selectable(n_users, 0);
     bool any_idle = false;
-    for (std::size_t i = 0; i < users_.size(); ++i) {
-      const bool ok = busy[i] == 0 &&
-                      (churn_mask.empty() || churn_mask[i] != 0) &&
-                      (battery_mask.empty() || battery_mask[i] != 0);
-      selectable[i] = ok ? 1 : 0;
-      any_idle = any_idle || ok;
+    for (std::size_t i = 0; i < n_users; ++i) {
+      selectable[i] = st.busy[i] == 0 && run.selectable(i);
+      any_idle = any_idle || selectable[i] != 0;
     }
     if (!any_idle) return;
-    fleet.alive = selectable;
+    const sched::FleetView fleet{world.users, selectable};
 
     sched::Decision decision;
     {
       obs::ScopedSpan selection_span(profiler, "selection",
-                                     static_cast<std::int64_t>(step));
-      decision = strategy_.decide(fleet, step);
+                                     static_cast<std::int64_t>(st.step));
+      decision = world.strategy.decide(fleet, st.step);
     }
     if (decision.selected.empty()) return;
     if (decision.selected.size() != decision.frequencies_hz.size()) {
@@ -1376,173 +462,60 @@ TrainingHistory AsyncTrainer::run_async_() {
     }
 
     std::size_t cohort = decision.selected.size();
-    if (next_dispatch_id + cohort > dispatch_cap) {
-      cohort = static_cast<std::size_t>(dispatch_cap - next_dispatch_id);
+    if (st.next_dispatch_id + cohort > dispatch_cap) {
+      cohort = static_cast<std::size_t>(dispatch_cap - st.next_dispatch_id);
     }
     // The first cohort fixes the semi-async buffer size (buffer_k == 0).
-    if (effective_k == 0) effective_k = std::max<std::size_t>(cohort, 1);
+    if (st.effective_k == 0) st.effective_k = std::max<std::size_t>(cohort, 1);
 
-    std::vector<double> fade_multipliers(cohort, 1.0);
-    std::vector<util::Rng> client_rngs;
-    client_rngs.reserve(cohort);
-    std::vector<mec::ClientFaults> client_faults(cohort);
-    std::vector<std::uint64_t> ids(cohort, 0);
+    // Streams are keyed on the dispatch id — unique and deterministic in
+    // dispatch order — so mini-batch draws and fault outcomes are
+    // identical for any thread count.
+    const std::uint64_t first_id = st.next_dispatch_id;
+    std::vector<detail::ClientTask> tasks;
+    tasks.reserve(cohort);
     for (std::size_t k = 0; k < cohort; ++k) {
-      const std::size_t user = decision.selected[k];
-      const double f = decision.frequencies_hz[k];
-      if (!fleet.is_alive(user)) {
-        throw std::logic_error(
-            "AsyncTrainer: strategy selected an unavailable device");
-      }
-      const mec::Device& device = devices_[user];
-      if (f < device.f_min_hz - 1e-6 || f > device.f_max_hz + 1e-6) {
-        throw std::logic_error("AsyncTrainer: frequency outside DVFS range");
-      }
-      fade_multipliers[k] = fading.multiplier(user);
-      // Streams are keyed on the dispatch id — unique and deterministic in
-      // dispatch order — so mini-batch draws and fault outcomes are
-      // identical for any thread count.
-      ids[k] = next_dispatch_id++;
-      client_rngs.push_back(batch_rng.fork(ids[k]));
-      if (injector.active()) {
-        client_faults[k] = injector.draw(ids[k], user, max_attempts);
-      }
-      busy[user] = 1;
-      acc.dispatched_users.push_back(user);
-      acc.dispatched_freqs.push_back(f);
+      const std::uint64_t id = st.next_dispatch_id++;
+      tasks.push_back(run.resolve_client(fleet, decision, k, id, id));
+      st.busy[tasks[k].user] = 1;
+      st.acc.dispatched_users.push_back(tasks[k].user);
+      st.acc.dispatched_freqs.push_back(tasks[k].frequency_hz);
     }
 
-    const std::vector<float> dispatch_state =
-        has_state ? nn::extract_state(model_) : std::vector<float>{};
-
-    std::vector<AsyncDispatch> outcomes(cohort);
-    auto run_client = [&](std::size_t k) {
-      const std::size_t user = decision.selected[k];
-      obs::ScopedSpan client_span(profiler, "client",
-                                  static_cast<std::int64_t>(step),
-                                  static_cast<std::int64_t>(user),
-                                  obs::TraceLevel::kDebug);
-      const double f = decision.frequencies_hz[k];
-      const mec::ClientFaults faults = client_faults[k];
-      const mec::Device& device = devices_[user];
-
-      AsyncDispatch d;
-      d.slowdown = faults.slowdown;
-      if (faults.crashed) {
-        d.crashed = true;
-        d.crash_fraction = faults.crash_fraction;
-        d.compute_delay_s = mec::compute_delay_s(device, f) * faults.slowdown *
-                            faults.crash_fraction;
-        d.energy_j = mec::compute_energy_j(device, f) * faults.crash_fraction;
-        outcomes[k] = std::move(d);
-        return;
-      }
-
-      const std::size_t worker = util::ThreadPool::worker_index();
-      nn::Sequential& model =
-          worker == util::ThreadPool::npos ? model_ : *replicas[worker];
-      if (has_state) nn::load_state(model, dispatch_state);
-
-      util::Rng client_rng = client_rngs[k];
-      d.trained = true;
-      ClientUpdate update = local_update(model, global_weights, user_data_[user],
-                                         options_.client, client_rng);
-
-      const nn::CompressedModel compressed =
-          nn::compress(update.weights, options_.compression);
-      const double compression_ratio =
-          static_cast<double>(compressed.wire_bits) /
-          (32.0 * static_cast<double>(update.weights.size()));
-      const double wire_bits = options_.model_size_bits * compression_ratio;
-      d.weights = std::move(compressed.reconstructed);
-      // FedBuff aggregates *updates*: the arrival carries the client's delta
-      // from the model it was dispatched with, so a stale update nudges the
-      // current model instead of dragging it back toward its old base.
-      for (std::size_t i = 0; i < d.weights.size(); ++i) {
-        d.weights[i] -= global_weights[i];
-      }
-      d.train_loss = update.train_loss;
-      d.num_samples = update.num_samples;
-
-      mec::Device faded = device;
-      faded.channel_gain_sq *= fade_multipliers[k];
-
-      d.compute_delay_s = mec::compute_delay_s(device, f) * faults.slowdown;
-      d.upload_duration_s = mec::upload_delay_s(faded, channel_, wire_bits);
-      d.attempts = faults.attempts();
-      d.upload_ok = faults.upload_ok;
-      d.failed_attempts = faults.failed_attempts;
-      d.occupancy_s =
-          d.attempts <= 1
-              ? d.upload_duration_s
-              : static_cast<double>(d.attempts) * d.upload_duration_s +
-                    static_cast<double>(d.attempts - 1) * options_.retry_backoff_s;
-      d.energy_j = mec::compute_energy_j(device, f) +
-                   static_cast<double>(d.attempts) *
-                       mec::upload_energy_j(faded, channel_, wire_bits);
-      if (has_state) d.state = nn::extract_state(model);
-      outcomes[k] = std::move(d);
-    };
-
-    {
-      obs::ScopedSpan training_span(profiler, "local_training",
-                                    static_cast<std::int64_t>(step));
-      if (pool.worker_count() == 0) {
-        for (std::size_t k = 0; k < cohort; ++k) run_client(k);
-      } else {
-        std::vector<std::future<void>> futures;
-        futures.reserve(cohort);
-        for (std::size_t k = 0; k < cohort; ++k) {
-          futures.push_back(pool.submit([&run_client, k] { run_client(k); }));
-        }
-        std::string failures;
-        std::size_t failure_count = 0;
-        for (std::size_t k = 0; k < futures.size(); ++k) {
-          try {
-            futures[k].get();
-          } catch (const std::exception& error) {
-            ++failure_count;
-            if (!failures.empty()) failures += "; ";
-            failures += "client " + std::to_string(k) + " (user " +
-                        std::to_string(decision.selected[k]) + "): " + error.what();
-          } catch (...) {
-            ++failure_count;
-            if (!failures.empty()) failures += "; ";
-            failures += "client " + std::to_string(k) + " (user " +
-                        std::to_string(decision.selected[k]) +
-                        "): unknown exception";
+    std::vector<detail::ClientOutcome> outcomes =
+        run.train_cohort(tasks, "step", st.step, [&](detail::ClientOutcome& outcome) {
+          // FedBuff aggregates *updates*: the arrival carries the client's
+          // delta from the model it was dispatched with, so a stale update
+          // nudges the current model instead of dragging it back toward its
+          // old base.
+          std::vector<float>& weights = outcome.update.weights;
+          for (std::size_t i = 0; i < weights.size(); ++i) {
+            weights[i] -= run.global_weights[i];
           }
-        }
-        if (failure_count > 0) {
-          throw std::runtime_error(
-              "AsyncTrainer: " + std::to_string(failure_count) +
-              " client task(s) failed in step " + std::to_string(step) + ": " +
-              failures);
-        }
-      }
-    }
+        });
 
     // Commit in dispatch order: schedule each client's terminal event.
     for (std::size_t k = 0; k < cohort; ++k) {
-      AsyncDispatch& d = outcomes[k];
-      d.id = ids[k];
-      d.user = decision.selected[k];
-      d.version = model_version;
-      d.frequency_hz = decision.frequencies_hz[k];
-      d.dispatch_time_s = now;
+      AsyncDispatch d;
+      d.id = first_id + k;
+      d.user = tasks[k].user;
+      d.version = st.model_version;
+      d.frequency_hz = tasks[k].frequency_hz;
+      d.dispatch_time_s = st.now;
+      d.outcome = std::move(outcomes[k]);
       const EventKind kind =
-          d.crashed ? EventKind::kFault : EventKind::kComputeFinish;
-      queue.push(now + d.compute_delay_s, kind, d.user, d.id);
-      if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kDecision)) {
+          d.outcome.faults.crashed ? EventKind::kFault : EventKind::kComputeFinish;
+      st.queue.push(st.now + d.outcome.compute_delay_s, kind, d.user, d.id);
+      if (run.tracing(obs::TraceLevel::kDecision)) {
         tracer->emit(obs::TraceLevel::kDecision, "async.dispatch",
-                     {{"step", step},
+                     {{"step", st.step},
                       {"user", d.user},
                       {"dispatch_id", d.id},
                       {"version", d.version},
-                      {"time_s", now},
-                      {"compute_delay_s", d.compute_delay_s}});
+                      {"time_s", st.now},
+                      {"compute_delay_s", d.outcome.compute_delay_s}});
       }
-      in_flight.emplace(d.id, std::move(d));
+      st.in_flight.emplace(d.id, std::move(d));
     }
   };
 
@@ -1551,22 +524,23 @@ TrainingHistory AsyncTrainer::run_async_() {
   // RoundRecord, eval cadence, and the stop checks.
   const auto aggregate = [&](bool flush) {
     obs::ScopedSpan aggregation_span(profiler, "aggregation",
-                                     static_cast<std::int64_t>(step));
+                                     static_cast<std::int64_t>(st.step));
+    const std::vector<AsyncArrival>& buffer = st.buffer;
+    StepAccum& acc = st.acc;
     const std::size_t arrivals = buffer.size();
-    const bool quorum_met = arrivals >= options_.min_clients;
+    const bool quorum_met = arrivals >= options.min_clients;
     double staleness_sum = 0.0;
     for (const AsyncArrival& a : buffer) {
-      staleness_sum += static_cast<double>(model_version - a.version);
+      staleness_sum += static_cast<double>(st.model_version - a.version);
     }
     const double staleness_mean =
         arrivals > 0 ? staleness_sum / static_cast<double>(arrivals) : 0.0;
 
-    if (!quorum_met && tracer != nullptr &&
-        tracer->enabled(obs::TraceLevel::kRound)) {
+    if (!quorum_met && run.tracing(obs::TraceLevel::kRound)) {
       tracer->emit(obs::TraceLevel::kRound, "quorum",
-                   {{"round", step},
+                   {{"round", st.step},
                     {"survivors", arrivals},
-                    {"min_clients", options_.min_clients}});
+                    {"min_clients", options.min_clients}});
     }
 
     double train_loss_sum = 0.0;
@@ -1579,7 +553,7 @@ TrainingHistory AsyncTrainer::run_async_() {
       std::vector<DiscountedModel> uploads;
       uploads.reserve(arrivals);
       for (const AsyncArrival& a : buffer) {
-        const double staleness = static_cast<double>(model_version - a.version);
+        const double staleness = static_cast<double>(st.model_version - a.version);
         const double discount =
             async_.staleness_beta == 0.0
                 ? 1.0
@@ -1587,25 +561,22 @@ TrainingHistory AsyncTrainer::run_async_() {
         uploads.push_back({a.weights, a.num_samples, discount});
       }
       const std::vector<float> mean_delta = fedavg_discounted(uploads);
-      for (std::size_t i = 0; i < global_weights.size(); ++i) {
-        global_weights[i] += mean_delta[i];
+      for (std::size_t i = 0; i < run.global_weights.size(); ++i) {
+        run.global_weights[i] += mean_delta[i];
       }
-      ++model_version;
+      ++st.model_version;
 
       sched::Decision agg_decision;
       std::vector<double> losses;
-      agg_decision.selected.reserve(arrivals);
-      agg_decision.frequencies_hz.reserve(arrivals);
-      losses.reserve(arrivals);
       for (const AsyncArrival& a : buffer) {
         agg_decision.selected.push_back(a.user);
         agg_decision.frequencies_hz.push_back(a.frequency_hz);
         losses.push_back(a.train_loss);
         train_loss_sum += a.train_loss;
       }
-      strategy_.observe(step, agg_decision, losses);
-      if (has_state && !buffer.empty()) {
-        nn::load_state(model_, buffer.back().state);
+      world.strategy.observe(st.step, agg_decision, losses);
+      if (run.has_state && !buffer.empty()) {
+        nn::load_state(world.model, buffer.back().state);
       }
     } else {
       // Quorum failed: the model holds still and every buffered update's
@@ -1627,44 +598,27 @@ TrainingHistory AsyncTrainer::run_async_() {
       for (std::uint8_t& c : completed) {
         c = (c == 2 && quorum_met) ? 1 : 0;
       }
-      strategy_.report_completion(step, resolved_decision, completed);
+      world.strategy.report_completion(st.step, resolved_decision, completed);
     }
     aggregation_span.finish();
 
-    cum_energy += acc.step_energy;
-    const double round_delay = now - step_start;
+    run.cum_energy += acc.step_energy;
 
-    std::size_t available = users_.size();
-    {
-      const std::span<const std::uint8_t> churn_mask = injector.availability();
-      const std::span<const std::uint8_t> battery_mask =
-          batteries_enabled ? batteries_.alive_mask()
-                            : std::span<const std::uint8_t>{};
-      if (!churn_mask.empty() || !battery_mask.empty()) {
-        available = 0;
-        for (std::size_t i = 0; i < users_.size(); ++i) {
-          if ((churn_mask.empty() || churn_mask[i] != 0) &&
-              (battery_mask.empty() || battery_mask[i] != 0)) {
-            ++available;
-          }
-        }
-      }
-    }
+    std::size_t available = 0;
+    for (std::size_t i = 0; i < n_users; ++i) available += run.selectable(i) ? 1 : 0;
 
     RoundRecord record;
-    record.round = step;
+    record.round = st.step;
     record.selected = acc.dispatched_users;
-    record.round_delay_s = round_delay;
+    record.round_delay_s = st.now - st.step_start;
     record.round_energy_j = acc.step_energy;
-    record.cum_delay_s = now;
-    record.cum_energy_j = cum_energy;
+    record.cum_delay_s = st.now;
+    record.cum_energy_j = run.cum_energy;
     record.train_loss =
         arrivals > 0 ? train_loss_sum / static_cast<double>(arrivals) : 0.0;
-    record.alive_users =
-        batteries_enabled ? batteries_.alive_count() : users_.size();
+    record.alive_users = run.alive_users();
     record.available_users = available;
     if (quorum_met) {
-      record.aggregated.reserve(arrivals);
       for (const AsyncArrival& a : buffer) record.aggregated.push_back(a.user);
     }
     record.survivors = record.aggregated.size();
@@ -1677,161 +631,67 @@ TrainingHistory AsyncTrainer::run_async_() {
     record.quorum_failed = !quorum_met;
     record.wasted_energy_j = acc.step_wasted;
 
-    const bool last_step = step + 1 >= options_.max_rounds;
-    const bool over_deadline = now > options_.deadline_s;
-    if (step % options_.eval_every == 0 || last_step || over_deadline) {
-      obs::ScopedSpan eval_span(profiler, "evaluation",
-                                static_cast<std::int64_t>(step));
-      Evaluation eval;
-      if (pool.worker_count() == 0) {
-        eval = evaluate(model_, global_weights, eval_plan);
-      } else {
-        if (has_state) {
-          const std::vector<float> eval_state = nn::extract_state(model_);
-          for (nn::Sequential* replica : eval_models) {
-            nn::load_state(*replica, eval_state);
-          }
-        }
-        eval = evaluate_parallel(eval_models, global_weights, eval_plan, pool);
-      }
-      record.evaluated = true;
-      record.test_loss = eval.loss;
-      record.test_accuracy = eval.accuracy;
-    }
-    const bool target_reached = record.evaluated &&
-                                options_.target_accuracy >= 0.0 &&
-                                record.test_accuracy >= options_.target_accuracy;
-
-    cum_wasted_energy += acc.step_wasted;
+    const bool last_step = st.step + 1 >= options.max_rounds;
+    const detail::StepEnd end = run.close_step(std::move(record), arrivals, last_step);
     if (registry != nullptr) {
-      registry->add("rounds.completed");
-      registry->add("clients.selected", acc.dispatched_users.size());
-      registry->add("clients.trained", arrivals);
-      registry->add("clients.crashed", acc.crashed);
-      registry->add("clients.dropped_late", acc.dropped_stale);
-      registry->add("clients.aggregated", record.survivors);
-      registry->add("uploads.failed", acc.upload_failures);
-      registry->add("uploads.retries", acc.retries);
-      if (!quorum_met) registry->add("rounds.quorum_failed");
       registry->add("async.aggregations");
       if (flush) registry->add("async.flushes");
-      if (acc.dropped_stale > 0) {
-        registry->add("async.dropped_stale", acc.dropped_stale);
-      }
-      const std::uint64_t scratch_now = tensor::scratch_realloc_count();
-      registry->add("kernel.scratch_reallocs", scratch_now - scratch_reported);
-      scratch_reported = scratch_now;
-      registry->set_gauge("delay.cum_s", now);
-      registry->set_gauge("energy.cum_j", cum_energy);
-      registry->set_gauge("energy.wasted_cum_j", cum_wasted_energy);
+      if (acc.dropped_stale > 0) registry->add("async.dropped_stale", acc.dropped_stale);
       registry->set_gauge("async.staleness_mean", staleness_mean);
-      registry->set_gauge("async.model_version",
-                          static_cast<double>(model_version));
-      registry->set_gauge("async.in_flight",
-                          static_cast<double>(in_flight.size()));
-      if (record.evaluated) {
-        best_accuracy = std::max(best_accuracy, record.test_accuracy);
-        registry->set_gauge("accuracy.last", record.test_accuracy);
-        registry->set_gauge("accuracy.best", best_accuracy);
-      }
+      registry->set_gauge("async.model_version", static_cast<double>(st.model_version));
+      registry->set_gauge("async.in_flight", static_cast<double>(st.in_flight.size()));
     }
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      std::vector<obs::Field> fields = {
-          {"round", step},
-          {"selected", acc.dispatched_users.size()},
-          {"survivors", record.survivors},
-          {"crashed", acc.crashed},
-          {"upload_failures", acc.upload_failures},
-          {"dropped_late", acc.dropped_stale},
-          {"retries", acc.retries},
-          {"quorum_failed", !quorum_met},
-          {"round_delay_s", round_delay},
-          {"round_energy_j", acc.step_energy},
-          {"wasted_energy_j", acc.step_wasted},
-          {"cum_delay_s", now},
-          {"cum_energy_j", cum_energy},
-          {"train_loss", record.train_loss}};
-      if (record.evaluated) {
-        fields.emplace_back("test_loss", record.test_loss);
-        fields.emplace_back("test_accuracy", record.test_accuracy);
-      }
-      tracer->emit(obs::TraceLevel::kRound, "round_end", fields);
+    if (run.tracing(obs::TraceLevel::kRound)) {
       tracer->emit(obs::TraceLevel::kRound, "async.step",
-                   {{"round", step},
+                   {{"round", st.step},
                     {"arrivals", arrivals},
-                    {"buffer_k", effective_k},
+                    {"buffer_k", st.effective_k},
                     {"staleness_mean", staleness_mean},
-                    {"model_version", model_version},
-                    {"in_flight", in_flight.size()},
+                    {"model_version", st.model_version},
+                    {"in_flight", st.in_flight.size()},
                     {"flush", flush}});
     }
-    history.add(std::move(record));
+    stopping = run.should_stop(end, "step", st.step) || last_step;
 
-    if (over_deadline) {
-      util::log_info("AsyncTrainer[async]: deadline reached after step " +
-                     std::to_string(step));
-      stopping = true;
-    }
-    if (target_reached) stopping = true;
-    if (last_step) stopping = true;
-    if (!stopping && options_.convergence_window >= 2 &&
-        history.size() >= options_.convergence_window) {
-      double lo = history.rounds()[history.size() - 1].train_loss;
-      double hi = lo;
-      for (std::size_t k = 2; k <= options_.convergence_window; ++k) {
-        const double loss = history.rounds()[history.size() - k].train_loss;
-        lo = std::min(lo, loss);
-        hi = std::max(hi, loss);
-      }
-      if (hi - lo < options_.convergence_epsilon) {
-        util::log_info("AsyncTrainer[async]: converged after step " +
-                       std::to_string(step));
-        stopping = true;
-      }
-    }
-
-    buffer.clear();
-    acc = StepAccum{};
-    ++step;
-    step_start = now;
-    if (!stopping) {
-      queue.push(now, EventKind::kChurn, 0, /*tag=*/step);
-    }
+    st.buffer.clear();
+    st.acc = StepAccum{};
+    ++st.step;
+    st.step_start = st.now;
+    if (!stopping) st.queue.push(st.now, EventKind::kChurn, 0, /*tag=*/st.step);
   };
 
   // Pulls one resolved dispatch out of the in-flight map.
   const auto take_flight = [&](std::uint64_t id) {
-    const auto it = in_flight.find(id);
-    if (it == in_flight.end()) {
-      throw std::logic_error(
-          "AsyncTrainer: event references unknown dispatch id " +
-          std::to_string(id));
+    const auto it = st.in_flight.find(id);
+    if (it == st.in_flight.end()) {
+      throw std::logic_error("AsyncTrainer: event references unknown dispatch id " +
+                             std::to_string(id));
     }
     AsyncDispatch d = std::move(it->second);
-    in_flight.erase(it);
+    st.in_flight.erase(it);
     return d;
   };
 
   // Bootstrap: the first churn boundary enters the queue at t = 0.  A
   // resumed run's queue already carries its pending events.
-  if (!resumed && options_.max_rounds > 0) {
-    queue.push(0.0, EventKind::kChurn, 0, /*tag=*/step);
+  if (!resumed && options.max_rounds > 0) {
+    st.queue.push(0.0, EventKind::kChurn, 0, /*tag=*/st.step);
   }
-  if (options_.max_rounds == 0) stopping = true;
+  if (options.max_rounds == 0) stopping = true;
 
   while (!stopping) {
-    if (queue.empty()) {
+    if (st.queue.empty()) {
       // Nothing left in flight.  Flush a partial buffer (or settle pending
       // completion feedback) as one final server step; otherwise the run is
       // over — fleet depleted, strategy empty, or dispatch cap reached.
-      if (!buffer.empty() || !acc.resolved_users.empty()) {
+      if (!st.buffer.empty() || !st.acc.resolved_users.empty()) {
         aggregate(/*flush=*/true);
         continue;
       }
       break;
     }
-    const Event event = queue.pop();
-    now = event.time_s;  // monotone: every push is at >= now
+    const Event event = st.queue.pop();
+    st.now = event.time_s;  // monotone: every push is at >= now
 
     switch (event.kind) {
       case EventKind::kChurn: {
@@ -1839,39 +699,21 @@ TrainingHistory AsyncTrainer::run_async_() {
         // advance once per step, exactly as the sync engine advances them
         // once per round.
         injector.begin_round();
-        fading.step();
+        run.fading.step();
         try_dispatch();
-        if (in_flight.empty() && buffer.empty() && queue.empty() &&
-            acc.resolved_users.empty() && injector.active() &&
-            injector.away_count() > 0 && next_dispatch_id < dispatch_cap &&
-            step < options_.max_rounds) {
+        if (st.in_flight.empty() && st.buffer.empty() && st.queue.empty() &&
+            st.acc.resolved_users.empty() && injector.active() &&
+            injector.away_count() > 0 && st.next_dispatch_id < dispatch_cap &&
+            st.step < options.max_rounds) {
           // Churn emptied the fleet before anything was dispatched: record
           // a skipped step (the sync engine's churn-skip path) and try the
           // next churn boundary.
-          RoundRecord skipped;
-          skipped.round = step;
-          skipped.quorum_failed = true;
-          skipped.cum_delay_s = now;
-          skipped.cum_energy_j = cum_energy;
-          skipped.alive_users =
-              batteries_enabled ? batteries_.alive_count() : users_.size();
-          skipped.available_users = 0;
-          history.add(std::move(skipped));
-          if (registry != nullptr) registry->add("rounds.skipped");
-          if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-            tracer->emit(obs::TraceLevel::kRound, "round_end",
-                         {{"round", step},
-                          {"selected", std::size_t{0}},
-                          {"survivors", std::size_t{0}},
-                          {"quorum_failed", true},
-                          {"cum_delay_s", now},
-                          {"cum_energy_j", cum_energy}});
-          }
-          acc = StepAccum{};
-          ++step;
-          step_start = now;
-          if (step < options_.max_rounds) {
-            queue.push(now, EventKind::kChurn, 0, /*tag=*/step);
+          run.skip_round(st.step, st.now, 0);
+          st.acc = StepAccum{};
+          ++st.step;
+          st.step_start = st.now;
+          if (st.step < options.max_rounds) {
+            st.queue.push(st.now, EventKind::kChurn, 0, /*tag=*/st.step);
           }
         }
         break;
@@ -1881,45 +723,46 @@ TrainingHistory AsyncTrainer::run_async_() {
         // TDMA grant: the single uplink is a rolling cursor — this client
         // transmits as soon as both it and the channel are ready, holding
         // the channel for its full retry-inclusive occupancy.
-        const auto it = in_flight.find(event.tag);
-        if (it == in_flight.end()) {
-          throw std::logic_error(
-              "AsyncTrainer: compute_finish for unknown dispatch id " +
-              std::to_string(event.tag));
+        const auto it = st.in_flight.find(event.tag);
+        if (it == st.in_flight.end()) {
+          throw std::logic_error("AsyncTrainer: compute_finish for unknown dispatch id " +
+                                 std::to_string(event.tag));
         }
         AsyncDispatch& d = it->second;
         d.compute_end_s = event.time_s;
-        d.upload_start_s = std::max(event.time_s, uplink_free);
-        uplink_free = d.upload_start_s + d.occupancy_s;
-        queue.push(uplink_free, EventKind::kUploadFinish, d.user, d.id);
+        d.upload_start_s = std::max(event.time_s, st.uplink_free);
+        st.uplink_free = d.upload_start_s + d.outcome.occupancy_s;
+        st.queue.push(st.uplink_free, EventKind::kUploadFinish, d.user, d.id);
         break;
       }
 
       case EventKind::kUploadFinish: {
         AsyncDispatch d = take_flight(event.tag);
-        busy[d.user] = 0;
-        acc.step_energy += d.energy_j;
-        if (batteries_enabled) batteries_.drain(d.user, d.energy_j);
-        acc.retries += d.attempts > 0 ? d.attempts - 1 : 0;
-        const std::size_t staleness = model_version - d.version;
+        detail::ClientOutcome& outcome = d.outcome;
+        const mec::ClientFaults& faults = outcome.faults;
+        StepAccum& acc = st.acc;
+        st.busy[d.user] = 0;
+        acc.step_energy += outcome.energy_j;
+        if (batteries_enabled) batteries.drain(d.user, outcome.energy_j);
+        acc.retries += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
+        const std::size_t staleness = st.model_version - d.version;
 
         bool accepted = false;
-        if (!d.upload_ok) {
+        if (!faults.upload_ok) {
           ++acc.upload_failures;
-          acc.step_wasted += d.energy_j;
-        } else if (async_.staleness_bound > 0 &&
-                   staleness > async_.staleness_bound) {
+          acc.step_wasted += outcome.energy_j;
+        } else if (async_.staleness_bound > 0 && staleness > async_.staleness_bound) {
           ++acc.dropped_stale;
-          acc.step_wasted += d.energy_j;
+          acc.step_wasted += outcome.energy_j;
         } else {
           accepted = true;
         }
 
-        if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kDecision)) {
+        if (run.tracing(obs::TraceLevel::kDecision)) {
           tracer->emit(obs::TraceLevel::kDecision, "tdma",
-                       {{"round", step},
+                       {{"round", st.step},
                         {"user", d.user},
-                        {"attempts", d.attempts},
+                        {"attempts", outcome.attempts},
                         {"compute_end_s", d.compute_end_s},
                         {"upload_start_s", d.upload_start_s},
                         {"upload_end_s", event.time_s},
@@ -1927,25 +770,25 @@ TrainingHistory AsyncTrainer::run_async_() {
                         {"accepted", accepted},
                         {"dropped_late", false}});
         }
-        if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-          if (d.slowdown > 1.0) {
+        if (run.tracing(obs::TraceLevel::kRound)) {
+          if (faults.slowdown > 1.0) {
             tracer->emit(obs::TraceLevel::kRound, "fault",
-                         {{"round", step},
+                         {{"round", st.step},
                           {"user", d.user},
                           {"kind", "straggler"},
-                          {"slowdown", d.slowdown}});
+                          {"slowdown", faults.slowdown}});
           }
-          if (d.failed_attempts > 0) {
+          if (faults.failed_attempts > 0) {
             tracer->emit(obs::TraceLevel::kRound, "fault",
-                         {{"round", step},
+                         {{"round", st.step},
                           {"user", d.user},
                           {"kind", "upload_failure"},
-                          {"failed_attempts", d.failed_attempts},
-                          {"upload_ok", d.upload_ok}});
+                          {"failed_attempts", faults.failed_attempts},
+                          {"upload_ok", faults.upload_ok}});
           }
-          if (!accepted && d.upload_ok) {
+          if (!accepted && faults.upload_ok) {
             tracer->emit(obs::TraceLevel::kRound, "fault",
-                         {{"round", step},
+                         {{"round", st.step},
                           {"user", d.user},
                           {"kind", "dropped_stale"},
                           {"staleness", staleness},
@@ -1957,31 +800,30 @@ TrainingHistory AsyncTrainer::run_async_() {
         acc.resolved_freqs.push_back(d.frequency_hz);
         acc.resolved_completed.push_back(accepted ? 2 : 0);
         if (accepted) {
-          if (tracer != nullptr &&
-              tracer->enabled(obs::TraceLevel::kDecision)) {
+          if (run.tracing(obs::TraceLevel::kDecision)) {
             tracer->emit(obs::TraceLevel::kDecision, "async.arrival",
-                         {{"step", step},
+                         {{"step", st.step},
                           {"user", d.user},
                           {"dispatch_id", d.id},
                           {"staleness", staleness},
-                          {"buffered", buffer.size() + 1},
-                          {"buffer_k", effective_k}});
+                          {"buffered", st.buffer.size() + 1},
+                          {"buffer_k", st.effective_k}});
           }
           AsyncArrival arrival;
           arrival.user = d.user;
           arrival.dispatch_id = d.id;
           arrival.version = d.version;
           arrival.frequency_hz = d.frequency_hz;
-          arrival.weights = std::move(d.weights);
-          arrival.train_loss = d.train_loss;
-          arrival.num_samples = d.num_samples;
-          arrival.state = std::move(d.state);
-          arrival.energy_j = d.energy_j;
-          buffer.push_back(std::move(arrival));
+          arrival.weights = std::move(outcome.update.weights);
+          arrival.train_loss = outcome.update.train_loss;
+          arrival.num_samples = outcome.update.num_samples;
+          arrival.state = std::move(outcome.state);
+          arrival.energy_j = outcome.energy_j;
+          st.buffer.push_back(std::move(arrival));
         }
 
-        ++resolutions;
-        if (accepted && effective_k > 0 && buffer.size() >= effective_k) {
+        ++st.resolutions;
+        if (accepted && st.effective_k > 0 && st.buffer.size() >= st.effective_k) {
           // Step boundary: aggregate now; the kChurn event it schedules
           // owns the re-dispatch, so churn advances before the next cohort.
           aggregate(/*flush=*/false);
@@ -1996,23 +838,24 @@ TrainingHistory AsyncTrainer::run_async_() {
         // Crash burn-out: the client dies crash_fraction of the way
         // through its local update — the cycles burned still cost energy,
         // but nothing ever reaches the uplink.
-        AsyncDispatch d = take_flight(event.tag);
-        busy[d.user] = 0;
-        acc.step_energy += d.energy_j;
-        acc.step_wasted += d.energy_j;
-        if (batteries_enabled) batteries_.drain(d.user, d.energy_j);
+        const AsyncDispatch d = take_flight(event.tag);
+        StepAccum& acc = st.acc;
+        st.busy[d.user] = 0;
+        acc.step_energy += d.outcome.energy_j;
+        acc.step_wasted += d.outcome.energy_j;
+        if (batteries_enabled) batteries.drain(d.user, d.outcome.energy_j);
         ++acc.crashed;
-        if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
+        if (run.tracing(obs::TraceLevel::kRound)) {
           tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", step},
+                       {{"round", st.step},
                         {"user", d.user},
                         {"kind", "crash"},
-                        {"crash_fraction", d.crash_fraction}});
+                        {"crash_fraction", d.outcome.faults.crash_fraction}});
         }
         acc.resolved_users.push_back(d.user);
         acc.resolved_freqs.push_back(d.frequency_hz);
         acc.resolved_completed.push_back(0);
-        ++resolutions;
+        ++st.resolutions;
         try_dispatch();
         maybe_write_checkpoint();
         break;
@@ -2020,17 +863,7 @@ TrainingHistory AsyncTrainer::run_async_() {
     }
   }
 
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_end",
-                 {{"rounds", history.size()},
-                  {"cum_delay_s", now},
-                  {"cum_energy_j", cum_energy},
-                  {"wasted_energy_cum_j", cum_wasted_energy}});
-    tracer->flush();
-  }
-
-  nn::load_parameters(model_, global_weights);
-  return history;
+  return run.finish(st.now);
 }
 
 }  // namespace helcfl::fl

@@ -12,18 +12,16 @@
 // (weight ∝ num_samples / (1 + staleness)^β), and re-dispatching freed
 // devices immediately through the existing SelectionStrategy machinery.
 //
-// The sync-equivalence contract: with mode = kSync this class reproduces
-// FederatedTrainer *bitwise* — final weights, per-round metrics, the
-// history CSV bytes, and the trace suffix — for every strategy, fault
-// level, and thread count.  The sync path replays the barrier engine
-// statement-for-statement with the arrival stage driven through the
-// EventQueue (TDMA upload ends are strictly increasing in grant order, so
-// the (time, seq) pop order *is* the grant order).  That equivalence is the
-// spec, enforced by tests/test_async_differential.cpp.
+// With mode = kSync this class *is* FederatedTrainer: it builds one from
+// its arguments and forwards run() and fleet_view() to it.  Both engines
+// share their client execution, resume, checkpoint, evaluation and metrics
+// steps (fl/round_steps.h); tests/test_engine_golden.cpp pins each
+// engine's weights, CSV bytes and trace to recorded digests.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -31,7 +29,6 @@
 #include "data/partition.h"
 #include "fl/metrics.h"
 #include "fl/trainer.h"
-#include "mec/battery.h"
 #include "mec/channel.h"
 #include "mec/device.h"
 #include "nn/sequential.h"
@@ -42,7 +39,7 @@ namespace helcfl::fl {
 /// Knobs of the async engine, layered on top of TrainerOptions.
 struct AsyncOptions {
   enum class Mode {
-    kSync,   ///< barrier engine: bitwise identical to FederatedTrainer
+    kSync,   ///< barrier engine: runs FederatedTrainer itself
     kAsync,  ///< event-driven: buffered staleness-discounted aggregation
   };
 
@@ -74,7 +71,8 @@ std::string async_mode_name(AsyncOptions::Mode mode);
 
 /// Discrete-event FL trainer over a simulated MEC fleet.  Construction
 /// mirrors FederatedTrainer (same borrow contract: model, datasets,
-/// devices, channel, and strategy must outlive the trainer).
+/// devices, channel, and strategy must outlive the trainer); in sync mode
+/// it builds only that FederatedTrainer and none of the async state.
 class AsyncTrainer {
  public:
   AsyncTrainer(nn::Sequential& model, const data::Dataset& train,
@@ -82,31 +80,23 @@ class AsyncTrainer {
                std::span<const mec::Device> devices, const mec::Channel& channel,
                sched::SelectionStrategy& strategy, TrainerOptions options,
                AsyncOptions async_options);
+  ~AsyncTrainer();
 
   /// Runs the engine to completion and returns the trace.  In sync mode
-  /// one RoundRecord per barrier round (bitwise identical to
-  /// FederatedTrainer::run()); in async mode one RoundRecord per server
-  /// step (aggregation).  The final global model remains loaded in the
-  /// model passed at construction.
+  /// one RoundRecord per barrier round (FederatedTrainer::run()); in async
+  /// mode one RoundRecord per server step (aggregation).  The final global
+  /// model remains loaded in the model passed at construction.
   TrainingHistory run();
 
   /// Fleet view the strategy sees (useful for tests and benches).
-  sched::FleetView fleet_view() const { return {users_}; }
+  sched::FleetView fleet_view() const;
 
  private:
-  TrainingHistory run_sync_();
   TrainingHistory run_async_();
 
-  nn::Sequential& model_;
-  const data::Dataset& test_;
-  std::span<const mec::Device> devices_;
-  mec::Channel channel_;
-  sched::SelectionStrategy& strategy_;
-  TrainerOptions options_;
   AsyncOptions async_;
-  std::vector<sched::UserInfo> users_;
-  std::vector<data::Batch> user_data_;  ///< gathered once at construction
-  mec::BatteryFleet batteries_;         ///< empty when batteries disabled
+  std::unique_ptr<FederatedTrainer> sync_;     ///< sync mode only
+  std::unique_ptr<detail::RoundWorld> world_;  ///< async mode only
 };
 
 }  // namespace helcfl::fl

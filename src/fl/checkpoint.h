@@ -92,7 +92,7 @@ struct Checkpoint {
 
   // --- async engine (v3; DESIGN.md §16) ---
   /// True iff this snapshot was written by fl::AsyncTrainer in async mode.
-  /// A sync run (FederatedTrainer, or AsyncTrainer degenerating to it)
+  /// A sync run (FederatedTrainer, or AsyncTrainer in sync mode, which is it)
   /// writes false with an empty async_state; resuming a snapshot into the
   /// wrong engine mode is rejected before any mutation.
   bool async_enabled = false;

@@ -9,8 +9,8 @@
 // order is a *deterministic total order* — two events landing on the same
 // instant resolve by insertion order, never by heap layout, thread timing,
 // or pointer values.  That property is what lets the engine inherit the
-// repo's bitwise-determinism contract (DESIGN.md §7) and what the sync
-// degeneration proof in tests/test_async_differential.cpp rests on.
+// repo's bitwise-determinism contract (DESIGN.md §7): reruns and thread
+// counts cannot move an event (tests/test_async_differential.cpp).
 //
 // Serialization is canonical: save_state() writes the events in pop order
 // (not heap order), so two queues holding the same pending set produce the

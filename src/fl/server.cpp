@@ -58,7 +58,7 @@ std::vector<float> fedavg_discounted(std::span<const DiscountedModel> uploads) {
 
   // Same double-accumulation order as fedavg(): with all discounts == 1 the
   // per-upload weight is num_samples * 1.0 — the identical double — so the
-  // two functions agree bitwise (the sync-equivalence contract).
+  // two functions agree bitwise (the async engine's β = 0 path).
   std::vector<double> accumulator(dim, 0.0);
   for (const auto& upload : uploads) {
     const double w =

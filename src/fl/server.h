@@ -34,8 +34,9 @@ struct DiscountedModel {
 
 /// FedBuff-style staleness-discounted FedAvg: each upload weighs
 /// num_samples * discount.  With every discount == 1 the arithmetic
-/// degenerates bitwise to fedavg() (identical doubles in identical order) —
-/// the sync-equivalence contract of docs/ASYNC.md.  All weight vectors must
+/// degenerates bitwise to fedavg() (identical doubles in identical order),
+/// which is what makes the async engine's β = 0 step plain FedAvg over the
+/// buffered deltas.  All weight vectors must
 /// have equal length, every discount must be finite and non-negative, and
 /// the *total* discounted weight must be positive: a buffer whose every
 /// entry has been discounted to zero cannot define an average (the

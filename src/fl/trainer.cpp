@@ -2,47 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
-#include <future>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
-#include "fl/checkpoint.h"
+#include "fl/round_steps.h"
 #include "fl/server.h"
-#include "mec/cost_model.h"
 #include "mec/tdma.h"
 #include "nn/serialize.h"
 #include "obs/profiler.h"
-#include "obs/registry.h"
 #include "obs/trace.h"
-#include "tensor/ops.h"
 #include "util/log.h"
-#include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace helcfl::fl {
-
-namespace {
-
-/// Everything one client's round produces, computed independently of every
-/// other client so the cohort can train in parallel.  Slots are reduced in
-/// selection order, which keeps FedAvg and the metrics trace bitwise
-/// identical for any worker count.
-struct ClientOutcome {
-  ClientUpdate update;           ///< weights already post-compression
-  double compute_delay_s = 0.0;
-  double upload_duration_s = 0.0;  ///< one TDMA attempt (Eq. 7)
-  double energy_j = 0.0;         ///< all cycles and transmissions, Eqs. (5)+(8)
-  std::vector<float> state;      ///< post-training persistent buffers
-  bool trained = false;          ///< local update produced (false = crashed)
-  bool upload_ok = true;         ///< false = every upload attempt failed
-  std::size_t attempts = 0;      ///< transmissions made (0 for crashed clients)
-  bool accepted = false;         ///< update entered FedAvg (set post-TDMA)
-  bool dropped_late = false;     ///< arrived after the straggler cutoff
-};
-
-}  // namespace
 
 void TrainerOptions::validate(std::size_t n_users) const {
   if (eval_every == 0) {
@@ -107,271 +78,52 @@ FederatedTrainer::FederatedTrainer(nn::Sequential& model, const data::Dataset& t
                                    const mec::Channel& channel,
                                    sched::SelectionStrategy& strategy,
                                    TrainerOptions options)
-    : model_(model),
-      test_(test),
-      devices_(devices),
-      channel_(channel),
-      strategy_(strategy),
-      options_(options) {
-  options_.validate(devices.size());
-  if (devices.size() != partition.size()) {
-    throw std::invalid_argument("FederatedTrainer: device/partition size mismatch");
-  }
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    if (devices[i].num_samples != partition[i].size()) {
-      throw std::invalid_argument(
-          "FederatedTrainer: device " + std::to_string(i) + " declares " +
-          std::to_string(devices[i].num_samples) + " samples but partition has " +
-          std::to_string(partition[i].size()));
-    }
-  }
+    : world_(std::make_unique<detail::RoundWorld>("FederatedTrainer", model, train, test,
+                                                  partition, devices, channel, strategy,
+                                                  std::move(options))) {}
 
-  // Initialization phase (Algorithm 1 lines 1-2): the FLCC learns every
-  // device's resource information and derives the delays.
-  users_ = sched::build_user_info(devices, channel_, options_.model_size_bits);
+FederatedTrainer::~FederatedTrainer() = default;
 
-  // Gather each user's local data once; rounds reuse the cached batches.
-  user_data_.reserve(partition.size());
-  for (const auto& indices : partition) {
-    user_data_.push_back(train.gather(indices));
-  }
-
-  if (options_.battery_capacity_j > 0.0) {
-    batteries_ = mec::BatteryFleet(devices.size(), options_.battery_capacity_j);
-  }
-}
+sched::FleetView FederatedTrainer::fleet_view() const { return {world_->users}; }
 
 TrainingHistory FederatedTrainer::run() {
-  strategy_.reset();
-  // Observability sinks (DESIGN.md §9): every use below is read-only — a
-  // null check followed by emitting values the round already computed.
-  obs::Tracer* const tracer = options_.obs.tracer;
-  obs::PhaseProfiler* const profiler = options_.obs.profiler;
-  obs::Registry* const registry = options_.obs.registry;
-  strategy_.set_instruments(options_.obs);
-
-  const bool batteries_enabled = batteries_.size() > 0;
-  util::Rng batch_rng(options_.seed);
-  mec::FadingProcess fading(users_.size(), options_.fading,
-                            util::Rng(options_.seed).fork(0xFAD1A6));
-  // Fault streams are forked off the same seed but independent of the
-  // mini-batch streams, so enabling faults never perturbs what a surviving
-  // client trains on.
-  mec::FaultInjector injector(users_.size(), options_.faults,
-                              util::Rng(options_.seed).fork(0xFA0175));
-  injector.set_tracer(tracer);
-  const std::size_t max_attempts = 1 + options_.max_upload_retries;
-
-  // Parallel round-execution engine (DESIGN.md §7): a fixed worker pool
-  // with one model replica per worker.  num_threads <= 1 spawns no workers
-  // and every client trains inline on the borrowed model — the reference
-  // sequential path.  Replicas never outlive the pool that indexes them.
-  util::ThreadPool pool(util::ThreadPool::resolve_thread_count(options_.num_threads));
-  std::vector<std::unique_ptr<nn::Sequential>> replicas;
-  std::vector<nn::Sequential*> eval_models;
-  replicas.reserve(pool.worker_count());
-  for (std::size_t i = 0; i < pool.worker_count(); ++i) {
-    replicas.push_back(std::make_unique<nn::Sequential>(model_));
-    eval_models.push_back(replicas.back().get());
-  }
-  // Persistent non-trainable buffers (BatchNorm running statistics): each
-  // client starts from the round-start snapshot regardless of the worker it
-  // lands on, and the server adopts the selection-order-last client's
-  // buffers, so the protocol is thread-count invariant.
-  const bool has_state = nn::state_count(model_) > 0;
-
-  std::vector<float> global_weights = nn::extract_parameters(model_);
-  // Batched evaluation (docs/KERNELS.md): the test set is gathered into
-  // batch tensors once and reused every eval round — together with the
-  // persistent eval models above, steady-state evaluation re-derives no
-  // im2col columns' worth of batch data and repacks no weight panels
-  // beyond the per-eval weight load.
-  const EvalPlan eval_plan = make_eval_plan(test_, options_.eval_batch);
-  TrainingHistory history;
+  detail::RoundWorld& world = *world_;
+  const TrainerOptions& options = world.options;
+  const std::vector<sched::UserInfo>& users = world.users;
+  mec::BatteryFleet& batteries = world.batteries;
+  detail::RunState run(world);
+  obs::Tracer* const tracer = run.tracer;
+  obs::PhaseProfiler* const profiler = run.profiler;
+  const bool batteries_enabled = run.batteries_enabled;
+  mec::FaultInjector& injector = run.injector;
   double cum_delay = 0.0;
-  double cum_energy = 0.0;
-  double cum_wasted_energy = 0.0;
-  double best_accuracy = -1.0;
-  // Kernel scratch growths are exported as a per-round delta of the
-  // process-global counter (obs `kernel.scratch_reallocs`): after warm-up
-  // rounds the delta must sit at zero — the steady-state no-alloc audit,
-  // now visible in the metrics stream.
-  std::uint64_t scratch_reported = tensor::scratch_realloc_count();
 
-  // Checkpoint resume (DESIGN.md §11).  Parse-then-commit: every check and
-  // every throwing parse happens before the first durable mutation, so a
-  // rejected checkpoint leaves this trainer exactly as it was — strategy,
-  // batteries, and model included — and a subsequent run() behaves as if
-  // the resume was never attempted.
+  // Checkpoint resume (DESIGN.md §11): a rejected checkpoint leaves this
+  // trainer exactly as it was, and a subsequent run() behaves as if the
+  // resume was never attempted.
   std::size_t start_round = 0;
-  if (!options_.resume_from.empty()) {
-    const Checkpoint ckpt = Checkpoint::read_file(options_.resume_from);
-    if (ckpt.n_users != users_.size()) {
-      throw CheckpointError("'" + options_.resume_from + "': saved for " +
-                            std::to_string(ckpt.n_users) +
-                            " users, this trainer has " +
-                            std::to_string(users_.size()));
-    }
-    if (ckpt.seed != options_.seed) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved under seed " +
-          std::to_string(ckpt.seed) + ", this trainer uses seed " +
-          std::to_string(options_.seed) +
-          " — resuming would silently diverge from the original run");
-    }
-    if (ckpt.strategy_name != strategy_.name()) {
-      throw CheckpointError("'" + options_.resume_from +
-                            "': saved with strategy '" + ckpt.strategy_name +
-                            "', this trainer uses '" + strategy_.name() + "'");
-    }
-    if (ckpt.global_weights.size() != global_weights.size()) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.global_weights.size()) +
-          " parameters, this trainer's model has " +
-          std::to_string(global_weights.size()));
-    }
-    if (ckpt.model_state.size() != nn::state_count(model_)) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved model has " +
-          std::to_string(ckpt.model_state.size()) +
-          " persistent state scalars, this trainer's model has " +
-          std::to_string(nn::state_count(model_)));
-    }
-    if (ckpt.batteries_enabled != batteries_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from + "': saved with batteries " +
-          std::string(ckpt.batteries_enabled ? "enabled" : "disabled") +
-          ", this trainer has them " +
-          std::string(batteries_enabled ? "enabled" : "disabled"));
-    }
-    if (ckpt.async_enabled) {
-      throw CheckpointError(
-          "'" + options_.resume_from +
-          "': saved mid-flight by the async engine; resume it with an "
-          "async-mode fl::AsyncTrainer (docs/ASYNC.md)");
-    }
-    mec::BatteryFleet restored_batteries;
-    try {
-      // Run-local cursors first (reconstructed on every run(), so partial
-      // mutation cannot outlive a failure)...
-      util::ByteReader injector_in(ckpt.injector_state);
-      injector.load_state(injector_in);
-      injector_in.expect_end("checkpoint injector state");
-      util::ByteReader fading_in(ckpt.fading_state);
-      fading.load_state(fading_in);
-      fading_in.expect_end("checkpoint fading state");
-      batch_rng.set_state(ckpt.batch_rng);
-      // ...then the durable battery state parsed into a copy...
-      if (batteries_enabled) {
-        restored_batteries = batteries_;
-        util::ByteReader battery_in(ckpt.battery_state);
-        restored_batteries.load_state(battery_in);
-        battery_in.expect_end("checkpoint battery state");
-      }
-      // ...and the strategy last: it parses its whole payload before
-      // touching any member (scheduler.h contract), so this either fully
-      // restores or fully leaves the just-reset() state.
-      util::ByteReader strategy_in(ckpt.strategy_state);
-      strategy_.load_state(strategy_in);
-      strategy_in.expect_end("checkpoint strategy state");
-    } catch (const std::exception& error) {
-      throw CheckpointError("'" + options_.resume_from + "': " + error.what());
-    }
-    // Commit — nothing below throws.
-    if (batteries_enabled) batteries_ = std::move(restored_batteries);
-    if (!ckpt.model_state.empty()) nn::load_state(model_, ckpt.model_state);
-    global_weights = ckpt.global_weights;
-    for (const RoundRecord& record : ckpt.records) history.add(record);
-    cum_delay = ckpt.cum_delay_s;
-    cum_energy = ckpt.cum_energy_j;
-    cum_wasted_energy = ckpt.cum_wasted_energy_j;
-    best_accuracy = ckpt.best_accuracy;
-    start_round = static_cast<std::size_t>(ckpt.next_round);
+  if (const std::optional<Checkpoint> ckpt = run.resume(/*async_engine=*/false)) {
+    cum_delay = ckpt->cum_delay_s;
+    start_round = static_cast<std::size_t>(ckpt->next_round);
   }
+  run.emit_run_start();
+  if (start_round > 0) run.emit_resumed(start_round, cum_delay);
 
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_start",
-                 {{"schema", std::size_t{1}},
-                  {"strategy", strategy_.name()},
-                  {"users", users_.size()},
-                  {"max_rounds", options_.max_rounds},
-                  {"threads", pool.worker_count() == 0 ? std::size_t{1}
-                                                       : pool.worker_count()},
-                  {"seed", options_.seed},
-                  {"faults_enabled", injector.active()}});
-  }
-  if (start_round > 0 && tracer != nullptr &&
-      tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "checkpoint_resume",
-                 {{"round", start_round},
-                  {"records", history.size()},
-                  {"cum_delay_s", cum_delay},
-                  {"cum_energy_j", cum_energy}});
-  }
-
-  // Cadenced snapshot writer.  Called after history.add() on every path
-  // that completes a round (including churn-skipped rounds), so the stored
-  // trace_seq sits exactly at the boundary the resumed run re-emits from.
+  // Cadenced snapshot writer.  Called after the round's record is added on
+  // every path that completes a round (including churn-skipped rounds), so
+  // the stored trace_seq sits exactly at the boundary the resumed run
+  // re-emits from.
   const auto maybe_write_checkpoint = [&](std::size_t round) {
-    if (options_.checkpoint_every == 0) return;
     const std::size_t completed = round + 1;
-    if (completed % options_.checkpoint_every != 0) return;
+    if (options.checkpoint_every == 0 || completed % options.checkpoint_every != 0) {
+      return;
+    }
     obs::ScopedSpan span(profiler, "checkpoint", static_cast<std::int64_t>(round));
-    Checkpoint ckpt;
-    ckpt.seed = options_.seed;
-    ckpt.n_users = users_.size();
-    ckpt.next_round = completed;
-    ckpt.cum_delay_s = cum_delay;
-    ckpt.cum_energy_j = cum_energy;
-    ckpt.cum_wasted_energy_j = cum_wasted_energy;
-    ckpt.best_accuracy = best_accuracy;
-    ckpt.trace_seq = tracer != nullptr ? tracer->event_count() : 0;
-    ckpt.global_weights = global_weights;
-    if (has_state) ckpt.model_state = nn::extract_state(model_);
-    ckpt.batch_rng = batch_rng.state();
-    ckpt.strategy_name = strategy_.name();
-    {
-      util::ByteWriter writer;
-      strategy_.save_state(writer);
-      ckpt.strategy_state = writer.take();
-    }
-    {
-      util::ByteWriter writer;
-      injector.save_state(writer);
-      ckpt.injector_state = writer.take();
-    }
-    {
-      util::ByteWriter writer;
-      fading.save_state(writer);
-      ckpt.fading_state = writer.take();
-    }
-    ckpt.batteries_enabled = batteries_enabled;
-    if (batteries_enabled) {
-      util::ByteWriter writer;
-      batteries_.save_state(writer);
-      ckpt.battery_state = writer.take();
-    }
-    ckpt.records = history.rounds();
-    std::string path = options_.checkpoint_path;
-    constexpr std::string_view kToken = "{round}";
-    for (std::size_t pos = path.find(kToken); pos != std::string::npos;
-         pos = path.find(kToken, pos)) {
-      const std::string value = std::to_string(completed);
-      path.replace(pos, kToken.size(), value);
-      pos += value.size();
-    }
-    ckpt.write_file(path);
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      tracer->emit(obs::TraceLevel::kRound, "checkpoint_write",
-                   {{"round", round},
-                    {"path", path},
-                    {"records", history.size()}});
-    }
+    run.write_checkpoint(run.snapshot(completed, cum_delay), completed, round);
   };
 
-  for (std::size_t round = start_round; round < options_.max_rounds; ++round) {
-    if (batteries_enabled && batteries_.alive_count() == 0) {
+  for (std::size_t round = start_round; round < options.max_rounds; ++round) {
+    if (batteries_enabled && batteries.alive_count() == 0) {
       util::log_info("FederatedTrainer: whole fleet depleted after round " +
                      std::to_string(round));
       break;
@@ -384,60 +136,33 @@ TrainingHistory FederatedTrainer::run() {
     // only sees devices that are both charged (battery extension) and
     // present (churn); with fading it ranks users by the (stale) delays of
     // the init phase.
-    sched::FleetView fleet{users_};
-    std::vector<std::uint8_t> selectable;  // combined mask storage
-    const std::span<const std::uint8_t> churn_mask = injector.availability();
-    if (batteries_enabled && !churn_mask.empty()) {
-      const std::span<const std::uint8_t> battery_mask = batteries_.alive_mask();
-      selectable.resize(users_.size());
-      for (std::size_t i = 0; i < users_.size(); ++i) {
-        selectable[i] = battery_mask[i] != 0 && churn_mask[i] != 0 ? 1 : 0;
-      }
+    sched::FleetView fleet{users};
+    std::vector<std::uint8_t> selectable;
+    if (batteries_enabled || !injector.availability().empty()) {
+      selectable.resize(users.size());
+      for (std::size_t i = 0; i < users.size(); ++i) selectable[i] = run.selectable(i);
       fleet.alive = selectable;
-    } else if (batteries_enabled) {
-      fleet.alive = batteries_.alive_mask();
-    } else if (!churn_mask.empty()) {
-      fleet.alive = churn_mask;
     }
     const std::size_t available = fleet.alive_count();
 
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
+    if (run.tracing(obs::TraceLevel::kRound)) {
       tracer->emit(obs::TraceLevel::kRound, "round_start",
                    {{"round", round},
                     {"available", available},
-                    {"alive", batteries_enabled ? batteries_.alive_count()
-                                                : users_.size()}});
+                    {"alive", run.alive_users()}});
     }
 
     sched::Decision decision;
     {
       obs::ScopedSpan selection_span(profiler, "selection",
                                      static_cast<std::int64_t>(round));
-      if (available > 0) decision = strategy_.decide(fleet, round);
+      if (available > 0) decision = world.strategy.decide(fleet, round);
     }
     if (decision.selected.empty()) {
       if (injector.active() && injector.away_count() > 0) {
         // Churn emptied the selectable fleet this round; that is transient
         // (rejoin_rate > 0), so record a failed round and keep going.
-        RoundRecord skipped;
-        skipped.round = round;
-        skipped.quorum_failed = true;
-        skipped.cum_delay_s = cum_delay;
-        skipped.cum_energy_j = cum_energy;
-        skipped.alive_users =
-            batteries_enabled ? batteries_.alive_count() : users_.size();
-        skipped.available_users = available;
-        history.add(std::move(skipped));
-        if (registry != nullptr) registry->add("rounds.skipped");
-        if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-          tracer->emit(obs::TraceLevel::kRound, "round_end",
-                       {{"round", round},
-                        {"selected", std::size_t{0}},
-                        {"survivors", std::size_t{0}},
-                        {"quorum_failed", true},
-                        {"cum_delay_s", cum_delay},
-                        {"cum_energy_j", cum_energy}});
-        }
+        run.skip_round(round, cum_delay, available);
         maybe_write_checkpoint(round);
         continue;
       }
@@ -448,156 +173,28 @@ TrainingHistory FederatedTrainer::run() {
       throw std::logic_error("FederatedTrainer: strategy returned a bad decision");
     }
 
-    fading.step();
+    run.fading.step();
 
     // Per-client inputs resolved on the coordinator thread, in selection
-    // order: decision sanity checks, this round's fading multipliers, the
-    // pre-forked RNG stream of each client, and the client's injected
-    // faults.  fork() is keyed on (round, user) alone, so a client's
+    // order.  fork() is keyed on (round, user) alone, so a client's
     // mini-batch draws and fault outcomes are the same no matter when or
     // where its task runs.
     const std::size_t cohort = decision.selected.size();
-    std::vector<double> fade_multipliers(cohort, 1.0);
-    std::vector<util::Rng> client_rngs;
-    client_rngs.reserve(cohort);
-    std::vector<mec::ClientFaults> client_faults(cohort);
+    std::vector<detail::ClientTask> tasks;
+    tasks.reserve(cohort);
     for (std::size_t k = 0; k < cohort; ++k) {
-      const std::size_t user = decision.selected[k];
-      const double f = decision.frequencies_hz[k];
-      if (!fleet.is_alive(user)) {
-        throw std::logic_error(
-            "FederatedTrainer: strategy selected an unavailable device");
-      }
-      const mec::Device& device = devices_[user];
-      if (f < device.f_min_hz - 1e-6 || f > device.f_max_hz + 1e-6) {
-        throw std::logic_error("FederatedTrainer: frequency outside DVFS range");
-      }
-      fade_multipliers[k] = fading.multiplier(user);
-      client_rngs.push_back(batch_rng.fork(round * users_.size() + user));
-      if (injector.active()) {
-        client_faults[k] = injector.draw(round, user, max_attempts);
-      }
+      tasks.push_back(run.resolve_client(
+          fleet, decision, k, round * users.size() + decision.selected[k], round));
     }
-
-    const std::vector<float> round_state =
-        has_state ? nn::extract_state(model_) : std::vector<float>{};
 
     // Lines 6-9: local updates in parallel (now literally), uploads
-    // serialized by TDMA.  Each task owns outcome slot k; the upload
-    // compression path runs inside the task so it parallelizes too.
-    std::vector<ClientOutcome> outcomes(cohort);
-    auto run_client = [&](std::size_t k) {
-      const std::size_t user = decision.selected[k];
-      // Per-client span (kDebug): tagged with the pool-worker tid by the
-      // profiler, so chrome://tracing shows the cohort's actual packing.
-      obs::ScopedSpan client_span(profiler, "client",
-                                  static_cast<std::int64_t>(round),
-                                  static_cast<std::int64_t>(user),
-                                  obs::TraceLevel::kDebug);
-      const double f = decision.frequencies_hz[k];
-      const mec::ClientFaults faults = client_faults[k];
-      const mec::Device& device = devices_[user];
-
-      if (faults.crashed) {
-        // The local update died faults.crash_fraction of the way through:
-        // the cycles burned still cost Eq.-(5) energy (pure waste), but
-        // nothing ever reaches the uplink.
-        ClientOutcome outcome;
-        outcome.compute_delay_s =
-            mec::compute_delay_s(device, f) * faults.slowdown * faults.crash_fraction;
-        outcome.energy_j = mec::compute_energy_j(device, f) * faults.crash_fraction;
-        outcomes[k] = std::move(outcome);
-        return;
-      }
-
-      const std::size_t worker = util::ThreadPool::worker_index();
-      nn::Sequential& model =
-          worker == util::ThreadPool::npos ? model_ : *replicas[worker];
-      if (has_state) nn::load_state(model, round_state);
-
-      util::Rng client_rng = client_rngs[k];
-      ClientOutcome outcome;
-      outcome.trained = true;
-      outcome.update = local_update(model, global_weights, user_data_[user],
-                                    options_.client, client_rng);
-
-      // Upload compression decides what the server integrates and scales
-      // the simulated payload: C_model is a config knob decoupled from the
-      // trained model's true size (DESIGN.md), so the wire size entering
-      // Eq. (7) is C_model times the compression ratio achieved on the
-      // real weight vector.
-      const nn::CompressedModel compressed =
-          nn::compress(outcome.update.weights, options_.compression);
-      const double compression_ratio =
-          static_cast<double>(compressed.wire_bits) /
-          (32.0 * static_cast<double>(outcome.update.weights.size()));
-      const double wire_bits = options_.model_size_bits * compression_ratio;
-      outcome.update.weights = std::move(compressed.reconstructed);
-
-      // Fading perturbs this round's actual channel gain; strategies only
-      // knew the init-time value.
-      mec::Device faded = device;
-      faded.channel_gain_sq *= fade_multipliers[k];
-
-      // A transient straggler stretches the Eq.-(4) delay (same cycles,
-      // externally stalled) without changing the Eq.-(5) energy.  Every
-      // upload attempt — failed or not — costs full Eq. (7)/(8).
-      outcome.compute_delay_s = mec::compute_delay_s(device, f) * faults.slowdown;
-      outcome.upload_duration_s = mec::upload_delay_s(faded, channel_, wire_bits);
-      outcome.attempts = faults.attempts();
-      outcome.upload_ok = faults.upload_ok;
-      outcome.energy_j = mec::compute_energy_j(device, f) +
-                         static_cast<double>(outcome.attempts) *
-                             mec::upload_energy_j(faded, channel_, wire_bits);
-      if (has_state) outcome.state = nn::extract_state(model);
-      outcomes[k] = std::move(outcome);
-    };
-
-    obs::ScopedSpan training_span(profiler, "local_training",
-                                  static_cast<std::int64_t>(round));
-    if (pool.worker_count() == 0) {
-      for (std::size_t k = 0; k < cohort; ++k) run_client(k);
-    } else {
-      std::vector<std::future<void>> futures;
-      futures.reserve(cohort);
-      for (std::size_t k = 0; k < cohort; ++k) {
-        futures.push_back(pool.submit([&run_client, k] { run_client(k); }));
-      }
-      // Join every task before letting any exception escape: the tasks
-      // reference this frame's state.  Failures are collected across the
-      // whole cohort and rethrown as one aggregate error naming every
-      // failed client, so a multi-client breakage is diagnosable from a
-      // single message.
-      std::string failures;
-      std::size_t failure_count = 0;
-      for (std::size_t k = 0; k < futures.size(); ++k) {
-        try {
-          futures[k].get();
-        } catch (const std::exception& error) {
-          ++failure_count;
-          if (!failures.empty()) failures += "; ";
-          failures += "client " + std::to_string(k) + " (user " +
-                      std::to_string(decision.selected[k]) + "): " + error.what();
-        } catch (...) {
-          ++failure_count;
-          if (!failures.empty()) failures += "; ";
-          failures += "client " + std::to_string(k) + " (user " +
-                      std::to_string(decision.selected[k]) + "): unknown exception";
-        }
-      }
-      if (failure_count > 0) {
-        throw std::runtime_error(
-            "FederatedTrainer: " + std::to_string(failure_count) +
-            " client task(s) failed in round " + std::to_string(round) + ": " +
-            failures);
-      }
-    }
-    training_span.finish();
+    // serialized by TDMA.
+    const std::vector<detail::ClientOutcome> outcomes =
+        run.train_cohort(tasks, "round", round);
 
     // TDMA serialization over the clients that actually transmit (crashed
     // clients never reach the uplink).  A failed attempt occupies the
-    // channel exactly like a successful one; each retry adds a backoff gap
-    // before re-occupying the uplink for another full Eq.-(7) duration.
+    // channel exactly like a successful one.
     std::vector<std::size_t> transmitting;  // cohort indices, selection order
     std::vector<double> tx_compute_delays;
     std::vector<double> tx_occupancies;
@@ -605,14 +202,7 @@ TrainingHistory FederatedTrainer::run() {
       if (!outcomes[k].trained) continue;
       transmitting.push_back(k);
       tx_compute_delays.push_back(outcomes[k].compute_delay_s);
-      const double occupancy =
-          outcomes[k].attempts <= 1
-              ? outcomes[k].upload_duration_s
-              : static_cast<double>(outcomes[k].attempts) *
-                        outcomes[k].upload_duration_s +
-                    static_cast<double>(outcomes[k].attempts - 1) *
-                        options_.retry_backoff_s;
-      tx_occupancies.push_back(occupancy);
+      tx_occupancies.push_back(outcomes[k].occupancy_s);
     }
     const mec::TdmaSchedule schedule =
         mec::schedule_uploads(tx_compute_delays, tx_occupancies);
@@ -620,32 +210,27 @@ TrainingHistory FederatedTrainer::run() {
     // Straggler cutoff: the server closes the round at the cutoff or when
     // the last upload lands, whichever is earlier; updates completing after
     // the cutoff are discarded.
-    const double cutoff = options_.straggler_cutoff_s;
-    const bool trace_tdma =
-        tracer != nullptr && tracer->enabled(obs::TraceLevel::kDecision);
+    const double cutoff = options.straggler_cutoff_s;
+    std::vector<std::uint8_t> accepted(cohort, 0);      // entered FedAvg
+    std::vector<std::uint8_t> dropped_late(cohort, 0);  // landed after the cutoff
     for (const mec::UploadSlot& slot : schedule.slots) {
       const std::size_t k = transmitting[slot.index];
-      ClientOutcome& outcome = outcomes[k];
-      if (outcome.upload_ok) {
-        if (slot.upload_end <= cutoff) {
-          outcome.accepted = true;
-        } else {
-          outcome.dropped_late = true;
-        }
+      if (outcomes[k].faults.upload_ok) {
+        (slot.upload_end <= cutoff ? accepted : dropped_late)[k] = 1;
       }
       // TDMA telemetry in grant order — the Fig.-1 timeline, one event per
-      // transmitting client (crashed clients never reach the uplink).
-      if (trace_tdma) {
+      // transmitting client.
+      if (run.tracing(obs::TraceLevel::kDecision)) {
         tracer->emit(obs::TraceLevel::kDecision, "tdma",
                      {{"round", round},
                       {"user", decision.selected[k]},
-                      {"attempts", outcome.attempts},
+                      {"attempts", outcomes[k].attempts},
                       {"compute_end_s", slot.compute_end},
                       {"upload_start_s", slot.upload_start},
                       {"upload_end_s", slot.upload_end},
                       {"slack_s", slot.slack_s},
-                      {"accepted", outcome.accepted},
-                      {"dropped_late", outcome.dropped_late}});
+                      {"accepted", accepted[k] != 0},
+                      {"dropped_late", dropped_late[k] != 0}});
       }
     }
     const double round_delay = std::min(schedule.round_delay_s, cutoff);
@@ -653,10 +238,10 @@ TrainingHistory FederatedTrainer::run() {
     // Fault telemetry, selection order: what the injector (and the cutoff)
     // actually did to this cohort.  Reads only the pre-drawn fault records
     // and the TDMA outcome — emitting changes no draw.
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
+    if (run.tracing(obs::TraceLevel::kRound)) {
       for (std::size_t k = 0; k < cohort; ++k) {
         const std::size_t user = decision.selected[k];
-        const mec::ClientFaults& faults = client_faults[k];
+        const mec::ClientFaults& faults = outcomes[k].faults;
         if (faults.crashed) {
           tracer->emit(obs::TraceLevel::kRound, "fault",
                        {{"round", round},
@@ -679,7 +264,7 @@ TrainingHistory FederatedTrainer::run() {
                         {"failed_attempts", faults.failed_attempts},
                         {"upload_ok", faults.upload_ok}});
         }
-        if (outcomes[k].dropped_late) {
+        if (dropped_late[k] != 0) {
           tracer->emit(obs::TraceLevel::kRound, "fault",
                        {{"round", round},
                         {"user", user},
@@ -692,72 +277,54 @@ TrainingHistory FederatedTrainer::run() {
     // Ordered reduction (selection order), identical to the sequential loop.
     obs::ScopedSpan aggregation_span(profiler, "aggregation",
                                      static_cast<std::int64_t>(round));
-    std::vector<double> user_energies;
-    std::vector<double> client_losses;
+    RoundRecord record;
     std::vector<std::size_t> survivors;  // cohort indices, selection order
-    double round_energy = 0.0;
     double train_loss_sum = 0.0;
     std::size_t trained_count = 0;
-    std::size_t crashed_count = 0;
-    std::size_t upload_failure_count = 0;
-    std::size_t dropped_late_count = 0;
-    std::size_t retry_count = 0;
-    double wasted_energy = 0.0;
     for (std::size_t k = 0; k < cohort; ++k) {
-      const ClientOutcome& outcome = outcomes[k];
+      const detail::ClientOutcome& outcome = outcomes[k];
       if (outcome.trained) {
         train_loss_sum += outcome.update.train_loss;
         ++trained_count;
-        retry_count += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
-        if (!outcome.upload_ok) ++upload_failure_count;
-        if (outcome.dropped_late) ++dropped_late_count;
-        if (outcome.accepted) survivors.push_back(k);
+        record.retries += outcome.attempts > 0 ? outcome.attempts - 1 : 0;
+        if (!outcome.faults.upload_ok) ++record.upload_failures;
+        if (dropped_late[k] != 0) ++record.dropped_late;
+        if (accepted[k] != 0) survivors.push_back(k);
       } else {
-        ++crashed_count;
+        ++record.crashed;
       }
-      user_energies.push_back(outcome.energy_j);
-      round_energy += outcome.energy_j;
-      if (!outcome.accepted) wasted_energy += outcome.energy_j;
+      record.round_energy_j += outcome.energy_j;
+      if (accepted[k] == 0) record.wasted_energy_j += outcome.energy_j;
     }
 
     // Quorum rule: with fewer than min_clients surviving updates the FLCC
     // keeps the previous global model — a failed round costs its delay and
     // energy but moves no weights and feeds no strategy statistics.
-    const bool quorum_met = survivors.size() >= options_.min_clients;
-    if (!quorum_met && tracer != nullptr &&
-        tracer->enabled(obs::TraceLevel::kRound)) {
+    const bool quorum_met = survivors.size() >= options.min_clients;
+    if (!quorum_met && run.tracing(obs::TraceLevel::kRound)) {
       tracer->emit(obs::TraceLevel::kRound, "quorum",
                    {{"round", round},
                     {"survivors", survivors.size()},
-                    {"min_clients", options_.min_clients}});
+                    {"min_clients", options.min_clients}});
     }
     if (quorum_met) {
       // Line 10: FedAvg integration (Eq. 18) — denominators are the
       // survivors' sample counts only.
       std::vector<WeightedModel> uploads;
-      uploads.reserve(survivors.size());
+      std::vector<double> client_losses;
+      sched::Decision survivor_decision;
       for (const std::size_t k : survivors) {
         uploads.push_back({outcomes[k].update.weights, outcomes[k].update.num_samples});
-      }
-      global_weights = fedavg(uploads);
-      for (const std::size_t k : survivors) {
         client_losses.push_back(outcomes[k].update.train_loss);
+        survivor_decision.selected.push_back(decision.selected[k]);
+        survivor_decision.frequencies_hz.push_back(decision.frequencies_hz[k]);
+        record.aggregated.push_back(decision.selected[k]);
       }
-      if (survivors.size() == cohort) {
-        strategy_.observe(round, decision, client_losses);
-      } else {
-        sched::Decision survivor_decision;
-        survivor_decision.selected.reserve(survivors.size());
-        survivor_decision.frequencies_hz.reserve(survivors.size());
-        for (const std::size_t k : survivors) {
-          survivor_decision.selected.push_back(decision.selected[k]);
-          survivor_decision.frequencies_hz.push_back(decision.frequencies_hz[k]);
-        }
-        strategy_.observe(round, survivor_decision, client_losses);
-      }
-      if (has_state) nn::load_state(model_, outcomes[survivors.back()].state);
+      run.global_weights = fedavg(uploads);
+      world.strategy.observe(round, survivor_decision, client_losses);
+      if (run.has_state) nn::load_state(world.model, outcomes[survivors.back()].state);
     } else {
-      wasted_energy = round_energy;  // nothing entered the model
+      record.wasted_energy_j = record.round_energy_j;  // nothing entered the model
     }
 
     // Completion feedback: selection-time strategy state (α_q counters,
@@ -767,153 +334,37 @@ TrainingHistory FederatedTrainer::run() {
     if (quorum_met) {
       for (const std::size_t k : survivors) completed[k] = 1;
     }
-    strategy_.report_completion(round, decision, completed);
+    world.strategy.report_completion(round, decision, completed);
     aggregation_span.finish();
 
     if (batteries_enabled) {
       for (std::size_t k = 0; k < cohort; ++k) {
-        batteries_.drain(decision.selected[k], user_energies[k]);
+        batteries.drain(decision.selected[k], outcomes[k].energy_j);
       }
     }
 
     cum_delay += round_delay;
-    cum_energy += round_energy;
+    run.cum_energy += record.round_energy_j;
 
-    RoundRecord record;
     record.round = round;
     record.selected = decision.selected;
     record.round_delay_s = round_delay;
-    record.round_energy_j = round_energy;
     record.cum_delay_s = cum_delay;
-    record.cum_energy_j = cum_energy;
+    record.cum_energy_j = run.cum_energy;
     record.train_loss =
         trained_count > 0 ? train_loss_sum / static_cast<double>(trained_count) : 0.0;
-    record.alive_users =
-        batteries_enabled ? batteries_.alive_count() : users_.size();
+    record.alive_users = run.alive_users();
     record.available_users = available;
-    if (quorum_met) {
-      record.aggregated.reserve(survivors.size());
-      for (const std::size_t k : survivors) {
-        record.aggregated.push_back(decision.selected[k]);
-      }
-    }
     record.survivors = record.aggregated.size();
-    record.crashed = crashed_count;
-    record.upload_failures = upload_failure_count;
-    record.dropped_late = dropped_late_count;
-    record.retries = retry_count;
     record.quorum_failed = !quorum_met;
-    record.wasted_energy_j = wasted_energy;
 
-    const bool last_round = round + 1 == options_.max_rounds;
-    const bool over_deadline = cum_delay > options_.deadline_s;
-    if (round % options_.eval_every == 0 || last_round || over_deadline) {
-      obs::ScopedSpan eval_span(profiler, "evaluation",
-                                static_cast<std::int64_t>(round));
-      Evaluation eval;
-      if (pool.worker_count() == 0) {
-        eval = evaluate(model_, global_weights, eval_plan);
-      } else {
-        if (has_state) {
-          const std::vector<float> eval_state = nn::extract_state(model_);
-          for (nn::Sequential* replica : eval_models) {
-            nn::load_state(*replica, eval_state);
-          }
-        }
-        eval = evaluate_parallel(eval_models, global_weights, eval_plan, pool);
-      }
-      record.evaluated = true;
-      record.test_loss = eval.loss;
-      record.test_accuracy = eval.accuracy;
-    }
-    const bool target_reached = record.evaluated && options_.target_accuracy >= 0.0 &&
-                                record.test_accuracy >= options_.target_accuracy;
-
-    cum_wasted_energy += wasted_energy;
-    if (registry != nullptr) {
-      registry->add("rounds.completed");
-      registry->add("clients.selected", cohort);
-      registry->add("clients.trained", trained_count);
-      registry->add("clients.crashed", crashed_count);
-      registry->add("clients.dropped_late", dropped_late_count);
-      registry->add("clients.aggregated", record.survivors);
-      registry->add("uploads.failed", upload_failure_count);
-      registry->add("uploads.retries", retry_count);
-      if (!quorum_met) registry->add("rounds.quorum_failed");
-      const std::uint64_t scratch_now = tensor::scratch_realloc_count();
-      registry->add("kernel.scratch_reallocs", scratch_now - scratch_reported);
-      scratch_reported = scratch_now;
-      registry->set_gauge("delay.cum_s", cum_delay);
-      registry->set_gauge("energy.cum_j", cum_energy);
-      registry->set_gauge("energy.wasted_cum_j", cum_wasted_energy);
-      if (record.evaluated) {
-        best_accuracy = std::max(best_accuracy, record.test_accuracy);
-        registry->set_gauge("accuracy.last", record.test_accuracy);
-        registry->set_gauge("accuracy.best", best_accuracy);
-      }
-    }
-    if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-      std::vector<obs::Field> fields = {
-          {"round", round},
-          {"selected", cohort},
-          {"survivors", record.survivors},
-          {"crashed", crashed_count},
-          {"upload_failures", upload_failure_count},
-          {"dropped_late", dropped_late_count},
-          {"retries", retry_count},
-          {"quorum_failed", !quorum_met},
-          {"round_delay_s", round_delay},
-          {"round_energy_j", round_energy},
-          {"wasted_energy_j", wasted_energy},
-          {"cum_delay_s", cum_delay},
-          {"cum_energy_j", cum_energy},
-          {"train_loss", record.train_loss}};
-      if (record.evaluated) {
-        fields.emplace_back("test_loss", record.test_loss);
-        fields.emplace_back("test_accuracy", record.test_accuracy);
-      }
-      tracer->emit(obs::TraceLevel::kRound, "round_end", fields);
-    }
-    history.add(std::move(record));
+    const detail::StepEnd end =
+        run.close_step(std::move(record), trained_count, round + 1 == options.max_rounds);
     maybe_write_checkpoint(round);
-
-    if (over_deadline) {
-      util::log_info("FederatedTrainer: deadline reached after round " +
-                     std::to_string(round));
-      break;
-    }
-    if (target_reached) break;
-
-    // Algorithm 1's convergence exit: the training-loss spread over the
-    // last `window` rounds has flattened out.
-    if (options_.convergence_window >= 2 &&
-        history.size() >= options_.convergence_window) {
-      double lo = history.rounds()[history.size() - 1].train_loss;
-      double hi = lo;
-      for (std::size_t k = 2; k <= options_.convergence_window; ++k) {
-        const double loss = history.rounds()[history.size() - k].train_loss;
-        lo = std::min(lo, loss);
-        hi = std::max(hi, loss);
-      }
-      if (hi - lo < options_.convergence_epsilon) {
-        util::log_info("FederatedTrainer: converged after round " +
-                       std::to_string(round));
-        break;
-      }
-    }
+    if (run.should_stop(end, "round", round)) break;
   }
 
-  if (tracer != nullptr && tracer->enabled(obs::TraceLevel::kRound)) {
-    tracer->emit(obs::TraceLevel::kRound, "run_end",
-                 {{"rounds", history.size()},
-                  {"cum_delay_s", cum_delay},
-                  {"cum_energy_j", cum_energy},
-                  {"wasted_energy_cum_j", cum_wasted_energy}});
-    tracer->flush();
-  }
-
-  nn::load_parameters(model_, global_weights);
-  return history;
+  return run.finish(cum_delay);
 }
 
 }  // namespace helcfl::fl

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 
@@ -17,7 +18,6 @@
 #include "data/partition.h"
 #include "fl/client.h"
 #include "fl/metrics.h"
-#include "mec/battery.h"
 #include "mec/channel.h"
 #include "mec/device.h"
 #include "mec/fading.h"
@@ -28,6 +28,10 @@
 #include "sched/scheduler.h"
 
 namespace helcfl::fl {
+
+namespace detail {
+struct RoundWorld;
+}  // namespace detail
 
 struct TrainerOptions {
   std::size_t max_rounds = 300;  ///< J
@@ -127,6 +131,7 @@ class FederatedTrainer {
                    const data::Dataset& test, const data::Partition& partition,
                    std::span<const mec::Device> devices, const mec::Channel& channel,
                    sched::SelectionStrategy& strategy, TrainerOptions options);
+  ~FederatedTrainer();
 
   /// Runs up to max_rounds rounds (stopping at the deadline or the target
   /// accuracy) and returns the full trace.  The final global model remains
@@ -134,18 +139,10 @@ class FederatedTrainer {
   TrainingHistory run();
 
   /// Fleet view the strategy sees (useful for tests and benches).
-  sched::FleetView fleet_view() const { return {users_}; }
+  sched::FleetView fleet_view() const;
 
  private:
-  nn::Sequential& model_;
-  const data::Dataset& test_;
-  std::span<const mec::Device> devices_;
-  mec::Channel channel_;
-  sched::SelectionStrategy& strategy_;
-  TrainerOptions options_;
-  std::vector<sched::UserInfo> users_;
-  std::vector<data::Batch> user_data_;  ///< gathered once at construction
-  mec::BatteryFleet batteries_;         ///< empty when batteries disabled
+  std::unique_ptr<detail::RoundWorld> world_;  ///< fl/round_steps.h
 };
 
 }  // namespace helcfl::fl

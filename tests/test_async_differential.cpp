@@ -1,11 +1,11 @@
-// The sync-equivalence contract of the async engine (DESIGN.md §16,
-// docs/ASYNC.md): with --mode=sync, fl::AsyncTrainer must reproduce
-// fl::FederatedTrainer *bitwise* — final weights, every RoundRecord field,
-// the metrics CSV bytes, and the full JSONL trace — across strategies,
-// fault levels, and thread counts.  That identity is what proves the
-// event-queue arrival path is a refactoring, not a behaviour change: TDMA
-// upload ends are non-decreasing in grant order and seq breaks ties by
-// insertion order, so the queue's pop order *is* the grant order.
+// Engine-level differentials for fl::AsyncTrainer (DESIGN.md §16,
+// docs/ASYNC.md).  With --mode=sync, AsyncTrainer *is* fl::FederatedTrainer
+// (it builds one and forwards to it), so the sync cases below check that
+// forwarding bitwise — final weights, every RoundRecord field, the metrics
+// CSV bytes, and the full JSONL trace.  Both engines share their client,
+// resume, checkpoint, evaluation and metrics steps (fl/round_steps.h), so
+// engine behaviour itself is guarded by tests/test_engine_golden.cpp, which
+// pins each engine to digests recorded before the engines shared code.
 //
 // The async mode carries the repo's determinism contract instead: a run is
 // bitwise reproducible and invariant under --threads, because all event

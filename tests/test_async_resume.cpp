@@ -9,8 +9,8 @@
 //
 // Also covered: the engine-mode firewall (a sync snapshot cannot feed the
 // async engine and vice versa), and the parse-then-commit discipline — a
-// truncated or gutted async frame is rejected with the trainer (and its
-// model) untouched.
+// truncated, gutted or inconsistent async frame is rejected with the
+// trainer (and its model) untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -299,6 +299,18 @@ TEST(AsyncResume, CorruptAsyncFramesAreRejectedWithoutSideEffects) {
     const std::string path = (dir / "bitflip.bin").string();
     std::ofstream(path, std::ios::binary).write(bytes.data(), bytes.size());
     EXPECT_THROW(Checkpoint::read_file(path), CheckpointError);
+    expect_rejected_resume_leaves_model_untouched(path);
+  }
+  {  // A model version below the version an in-flight or buffered update
+     // was trained against: staleness = model_version - version would wrap
+     // to ~2^64.  The checksum is recomputed, so only the engine can refuse.
+    const Checkpoint last = Checkpoint::read_file(snapshots.back().string());
+    util::ByteReader frame(last.async_state);
+    ASSERT_GT(frame.u64(), 0U) << "the snapshot must follow an aggregation";
+    Checkpoint bad = last;
+    std::fill_n(bad.async_state.begin(), 8, std::uint8_t{0});  // model_version = 0
+    const std::string path = (dir / "future_version.bin").string();
+    bad.write_file(path);
     expect_rejected_resume_leaves_model_untouched(path);
   }
 }

@@ -2,14 +2,24 @@
 // combination of tracing / profiling / counters attached, the training
 // trace and final weights must stay bitwise identical to an uninstrumented
 // run — and identical across worker counts — because the sinks only read
-// values the round already computed (no RNG draws, no reordering).
+// values the round already computed (no RNG draws, no reordering).  The
+// checkpoints a run writes are output too: the on-vs-off case compares
+// them for both round engines.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/helcfl_scheduler.h"
+#include "fl/async_trainer.h"
+#include "fl/checkpoint.h"
 #include "fl/trainer.h"
 #include "fl_fixtures.h"
 #include "nn/models.h"
@@ -62,16 +72,27 @@ class TraceInvarianceTest : public ::testing::Test {
     return options;
   }
 
-  RunResult run(const TrainerOptions& options) {
+  /// `async_engine` runs fl::AsyncTrainer in async mode instead of the
+  /// barrier engine.
+  RunResult run(const TrainerOptions& options, bool async_engine = false) {
     util::Rng model_rng(92);
     const std::unique_ptr<nn::Sequential> model =
         nn::make_mlp(split_.train.spec(), 16, 10, model_rng);
     core::HelcflScheduler strategy({.fraction = 0.3, .eta = 0.9});
-    FederatedTrainer trainer(*model, split_.train, split_.test, partition_,
-                             devices_, testing::paper_channel(), strategy,
-                             options);
     RunResult result;
-    result.history = trainer.run();
+    if (async_engine) {
+      AsyncOptions async;
+      async.mode = AsyncOptions::Mode::kAsync;
+      async.buffer_k = 3;
+      AsyncTrainer trainer(*model, split_.train, split_.test, partition_, devices_,
+                           testing::paper_channel(), strategy, options, async);
+      result.history = trainer.run();
+    } else {
+      FederatedTrainer trainer(*model, split_.train, split_.test, partition_,
+                               devices_, testing::paper_channel(), strategy,
+                               options);
+      result.history = trainer.run();
+    }
     result.final_weights = nn::extract_parameters(*model);
     if (options.obs.tracer != nullptr) {
       result.trace_events = options.obs.tracer->event_count();
@@ -116,19 +137,74 @@ struct Sinks {
   obs::Registry registry;
 };
 
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Every checkpoint the untraced run wrote under `dir` ("plain_r*.bin")
+/// must have a byte-identical twin from the traced run ("traced_r*.bin"),
+/// except for trace_seq: that field records the tracer's own cursor, so it
+/// is zeroed on the traced side (and must be zero on the untraced side).
+void expect_same_checkpoints(const std::filesystem::path& dir) {
+  std::size_t compared = 0;
+  bool saw_evaluated = false;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("plain_", 0) != 0) continue;
+    SCOPED_TRACE(name);
+    const std::filesystem::path twin = dir / ("traced_" + name.substr(6));
+    ASSERT_TRUE(std::filesystem::exists(twin));
+    const Checkpoint plain = Checkpoint::read_file(entry.path().string());
+    EXPECT_EQ(plain.trace_seq, 0U);
+    saw_evaluated = saw_evaluated || plain.best_accuracy >= 0.0;
+    Checkpoint traced = Checkpoint::read_file(twin.string());
+    traced.trace_seq = 0;
+    const std::vector<std::uint8_t> traced_bytes = traced.serialize();
+    EXPECT_EQ(file_bytes(entry.path()),
+              std::string(traced_bytes.begin(), traced_bytes.end()));
+    ++compared;
+  }
+  EXPECT_GE(compared, 2U);
+  // Some snapshot follows an evaluation, so best_accuracy is exercised.
+  EXPECT_TRUE(saw_evaluated);
+  std::size_t traced_files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    traced_files += entry.path().filename().string().rfind("traced_", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(traced_files, compared);
+}
+
 TEST_F(TraceInvarianceTest, TracingOnVsOffIsBitwiseIdentical) {
-  const RunResult plain = run(base_options(1));
+  for (const bool async_engine : {false, true}) {
+    SCOPED_TRACE(async_engine ? "async engine" : "barrier engine");
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("helcfl_trace_invariance_" + std::to_string(::getpid()) +
+         (async_engine ? "_async" : "_sync"));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
 
-  Sinks sinks;
-  TrainerOptions traced = base_options(1);
-  traced.obs = sinks.instruments();
-  const RunResult instrumented = run(traced);
+    TrainerOptions untraced = base_options(1);
+    untraced.checkpoint_every = 2;
+    untraced.checkpoint_path = (dir / "plain_r{round}.bin").string();
+    const RunResult plain = run(untraced, async_engine);
 
-  expect_identical(plain, instrumented);
-  // The instrumented run really did trace and count.
-  EXPECT_GT(instrumented.trace_events, 0U);
-  EXPECT_GT(sinks.profiler.span_count(), 0U);
-  EXPECT_GT(sinks.registry.counter("rounds.completed"), 0U);
+    Sinks sinks;
+    TrainerOptions traced = base_options(1);
+    traced.checkpoint_every = 2;
+    traced.checkpoint_path = (dir / "traced_r{round}.bin").string();
+    traced.obs = sinks.instruments();
+    const RunResult instrumented = run(traced, async_engine);
+
+    expect_identical(plain, instrumented);
+    // The instrumented run really did trace and count.
+    EXPECT_GT(instrumented.trace_events, 0U);
+    EXPECT_GT(sinks.profiler.span_count(), 0U);
+    EXPECT_GT(sinks.registry.counter("rounds.completed"), 0U);
+    expect_same_checkpoints(dir);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST_F(TraceInvarianceTest, ThreadCountInvariantWithTracingEnabled) {
