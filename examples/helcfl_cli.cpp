@@ -45,12 +45,14 @@
 // --buffer-k arrivals (0 = the first cohort's size), each discounted by
 // 1/(1+staleness)^beta (--staleness-beta), dropping arrivals staler than
 // --staleness-bound server steps (0 = keep every arrival).  --mode=sync
-// (the default) is bitwise identical to the classic barrier engine.
+// (the default) runs the barrier engine, fl::FederatedTrainer; --mode=async
+// runs fl::AsyncTrainer, which runs the async engine only.  One TDMA grant
+// rule (mec::Uplink) serves both engines.
 //
 // Checkpoint/resume (docs/CHECKPOINT.md): --checkpoint-every=N saves a
-// snapshot every N completed rounds to --checkpoint-path (default
-// "helcfl.ckpt"; "{round}" in the path expands to the completed-round
-// count).  --resume-from continues an interrupted run; the resumed
+// snapshot every N completed rounds (event resolutions in async mode) to
+// --checkpoint-path (default "helcfl.ckpt"; every "{round}" in the path
+// expands to that count).  --resume-from continues an interrupted run; the resumed
 // trajectory is bitwise identical to one that never stopped.
 //
 // Two-process scheduler sessions (docs/SERVICE.md): the `serve` and

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -12,6 +13,7 @@
 #include "fl/event_queue.h"
 #include "fl/round_steps.h"
 #include "fl/server.h"
+#include "mec/tdma.h"
 #include "nn/serialize.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
@@ -22,42 +24,27 @@ namespace helcfl::fl {
 
 namespace {
 
-/// One dispatched client, from dispatch to its terminal event (upload
-/// finish or crash burn-out).  The training itself runs at dispatch time —
-/// only the *outcome* travels through the event queue.
+/// One dispatched client, from dispatch to aggregation: in flight until its
+/// terminal event (upload finish or crash burn-out), then — if the upload
+/// was accepted — in the server's aggregation buffer.  The training itself
+/// runs at dispatch time; only the *outcome* travels through the event queue.
 struct AsyncDispatch {
   std::uint64_t id = 0;          ///< dispatch counter; RNG/fault fork key
   std::size_t user = 0;
-  std::size_t version = 0;       ///< model_version trained against
+  std::size_t version = 0;       ///< model_version trained against (staleness base)
   double frequency_hz = 0.0;
   double dispatch_time_s = 0.0;
-  double compute_end_s = 0.0;    ///< set when kComputeFinish pops
-  double upload_start_s = 0.0;   ///< set at the TDMA grant
+  mec::UploadSlot slot;          ///< the TDMA grant, set when kComputeFinish pops
   /// update.weights hold the post-compression delta from the dispatch base.
   detail::ClientOutcome outcome;
 };
 
-/// One update sitting in the server's aggregation buffer.
-struct AsyncArrival {
-  std::size_t user = 0;
-  std::uint64_t dispatch_id = 0;
-  std::size_t version = 0;       ///< staleness = model_version - version
-  double frequency_hz = 0.0;
-  std::vector<float> weights;    ///< delta from the version-`version` model
-  double train_loss = 0.0;
-  std::size_t num_samples = 0;
-  std::vector<float> state;
-  double energy_j = 0.0;
-};
-
 /// Per-server-step accumulators, reset at every aggregation.
 struct StepAccum {
-  std::vector<std::size_t> dispatched_users;
-  std::vector<double> dispatched_freqs;
-  std::vector<std::size_t> resolved_users;
-  std::vector<double> resolved_freqs;
-  /// 2 = arrival awaiting the step's quorum verdict; rewritten to 1/0 at
-  /// aggregation time, when report_completion fires.
+  sched::Decision dispatched;  ///< dispatch order
+  sched::Decision resolved;    ///< terminal-event order
+  /// Per resolved entry: 2 = arrival awaiting the step's quorum verdict;
+  /// rewritten to 1/0 at aggregation time, when report_completion fires.
   std::vector<std::uint8_t> resolved_completed;
   std::size_t crashed = 0;
   std::size_t upload_failures = 0;
@@ -65,9 +52,15 @@ struct StepAccum {
   std::size_t retries = 0;
   double step_energy = 0.0;
   double step_wasted = 0.0;
+
+  void resolve(const AsyncDispatch& d, std::uint8_t completed) {
+    resolved.selected.push_back(d.user);
+    resolved.frequencies_hz.push_back(d.frequency_hz);
+    resolved_completed.push_back(completed);
+  }
 };
 
-/// The engine state between events — exactly what a v3 checkpoint's async
+/// The engine state between events — exactly what a checkpoint's async
 /// frame holds.
 struct AsyncState {
   std::size_t model_version = 0;  ///< quorum-met aggregations; staleness base
@@ -76,12 +69,12 @@ struct AsyncState {
   std::uint64_t resolutions = 0;  ///< checkpoint-cadence counter
   std::size_t effective_k = 0;    ///< 0 until the first cohort fixes it
   double now = 0.0;               ///< global clock; monotone through pops
-  double uplink_free = 0.0;       ///< rolling TDMA cursor
+  mec::Uplink uplink;             ///< the single TDMA channel
   double step_start = 0.0;
   std::vector<std::uint8_t> busy;
   EventQueue queue;
   std::map<std::uint64_t, AsyncDispatch> in_flight;  ///< keyed by dispatch id
-  std::vector<AsyncArrival> buffer;
+  std::vector<AsyncDispatch> buffer;  ///< accepted uploads, arrival order
   StepAccum acc;
 
   std::vector<std::uint8_t> save() const;
@@ -97,8 +90,11 @@ void save_dispatch(util::ByteWriter& out, const AsyncDispatch& d) {
   out.u64(static_cast<std::uint64_t>(d.version));
   out.f64(d.frequency_hz);
   out.f64(d.dispatch_time_s);
-  out.f64(d.compute_end_s);
-  out.f64(d.upload_start_s);
+  out.u64(static_cast<std::uint64_t>(d.slot.index));
+  out.f64(d.slot.compute_end);
+  out.f64(d.slot.upload_start);
+  out.f64(d.slot.upload_end);
+  out.f64(d.slot.slack_s);
   out.f64(o.compute_delay_s);
   out.f64(o.upload_duration_s);
   out.f64(o.occupancy_s);
@@ -124,8 +120,11 @@ AsyncDispatch load_dispatch(util::ByteReader& in, std::size_t n_users) {
   d.version = static_cast<std::size_t>(in.u64());
   d.frequency_hz = in.f64();
   d.dispatch_time_s = in.f64();
-  d.compute_end_s = in.f64();
-  d.upload_start_s = in.f64();
+  d.slot.index = static_cast<std::size_t>(in.u64());
+  d.slot.compute_end = in.f64();
+  d.slot.upload_start = in.f64();
+  d.slot.upload_end = in.f64();
+  d.slot.slack_s = in.f64();
   o.compute_delay_s = in.f64();
   o.upload_duration_s = in.f64();
   o.occupancy_s = in.f64();
@@ -142,62 +141,19 @@ AsyncDispatch load_dispatch(util::ByteReader& in, std::size_t n_users) {
   o.update.num_samples = static_cast<std::size_t>(in.u64());
   o.state = in.vec_f32();
   if (d.user >= n_users) {
-    throw CheckpointError("async state names in-flight user " +
+    throw CheckpointError("async state names dispatched user " +
                           std::to_string(d.user) + " of a " +
                           std::to_string(n_users) + "-user fleet");
   }
   if (!std::isfinite(d.dispatch_time_s) || !std::isfinite(o.energy_j)) {
-    throw CheckpointError("async state holds a non-finite in-flight record");
+    throw CheckpointError("async state holds a non-finite dispatch record");
   }
   return d;
 }
 
-void save_arrival(util::ByteWriter& out, const AsyncArrival& a) {
-  out.u64(static_cast<std::uint64_t>(a.user));
-  out.u64(a.dispatch_id);
-  out.u64(static_cast<std::uint64_t>(a.version));
-  out.f64(a.frequency_hz);
-  out.vec_f32(a.weights);
-  out.f64(a.train_loss);
-  out.u64(static_cast<std::uint64_t>(a.num_samples));
-  out.vec_f32(a.state);
-  out.f64(a.energy_j);
-}
-
-AsyncArrival load_arrival(util::ByteReader& in, std::size_t n_users) {
-  AsyncArrival a;
-  a.user = static_cast<std::size_t>(in.u64());
-  a.dispatch_id = in.u64();
-  a.version = static_cast<std::size_t>(in.u64());
-  a.frequency_hz = in.f64();
-  a.weights = in.vec_f32();
-  a.train_loss = in.f64();
-  a.num_samples = static_cast<std::size_t>(in.u64());
-  a.state = in.vec_f32();
-  a.energy_j = in.f64();
-  if (a.user >= n_users) {
-    throw CheckpointError("async state buffers an update from user " +
-                          std::to_string(a.user) + " of a " +
-                          std::to_string(n_users) + "-user fleet");
-  }
-  return a;
-}
-
-/// Smallest possible wire sizes, used to cap adversarial counts before
+/// Smallest possible dispatch record, used to cap adversarial counts before
 /// reserving (same policy as fl/checkpoint.cpp's kMinRecordBytes).
-constexpr std::size_t kMinDispatchBytes = 6 * 8 + 11 * 8 + 3 + 2 * 8;
-constexpr std::size_t kMinArrivalBytes = 4 * 8 + 3 * 8 + 2 * 8;
-
-/// Staleness is model_version - version; a version from the future would
-/// wrap it to ~2^64 (bogus discounts, silent stale drops).
-void check_version(std::size_t version, std::size_t model_version, const char* what) {
-  if (version > model_version) {
-    throw CheckpointError("async state holds " + std::string(what) +
-                          " trained against model version " + std::to_string(version) +
-                          ", beyond the saved model version " +
-                          std::to_string(model_version));
-  }
-}
+constexpr std::size_t kMinDispatchBytes = 7 * 8 + 13 * 8 + 3 + 2 * 8;
 
 std::vector<std::uint8_t> AsyncState::save() const {
   util::ByteWriter out;
@@ -207,18 +163,18 @@ std::vector<std::uint8_t> AsyncState::save() const {
   out.u64(resolutions);
   out.u64(static_cast<std::uint64_t>(effective_k));
   out.f64(now);
-  out.f64(uplink_free);
+  out.f64(uplink.free_at);
   out.f64(step_start);
   out.vec_u8(busy);
   queue.save_state(out);
   out.u64(in_flight.size());
   for (const auto& [id, dispatch] : in_flight) save_dispatch(out, dispatch);
   out.u64(buffer.size());
-  for (const AsyncArrival& arrival : buffer) save_arrival(out, arrival);
-  out.vec_size(acc.dispatched_users);
-  out.vec_f64(acc.dispatched_freqs);
-  out.vec_size(acc.resolved_users);
-  out.vec_f64(acc.resolved_freqs);
+  for (const AsyncDispatch& dispatch : buffer) save_dispatch(out, dispatch);
+  out.vec_size(acc.dispatched.selected);
+  out.vec_f64(acc.dispatched.frequencies_hz);
+  out.vec_size(acc.resolved.selected);
+  out.vec_f64(acc.resolved.frequencies_hz);
   out.vec_u8(acc.resolved_completed);
   out.u64(static_cast<std::uint64_t>(acc.crashed));
   out.u64(static_cast<std::uint64_t>(acc.upload_failures));
@@ -238,9 +194,9 @@ AsyncState AsyncState::load(std::span<const std::uint8_t> frame, std::size_t n_u
   s.resolutions = in.u64();
   s.effective_k = static_cast<std::size_t>(in.u64());
   s.now = in.f64();
-  s.uplink_free = in.f64();
+  s.uplink.free_at = in.f64();
   s.step_start = in.f64();
-  if (!std::isfinite(s.now) || !std::isfinite(s.uplink_free) ||
+  if (!std::isfinite(s.now) || !std::isfinite(s.uplink.free_at) ||
       !std::isfinite(s.step_start) || s.now < 0.0) {
     throw CheckpointError("async state holds a non-finite clock");
   }
@@ -251,43 +207,43 @@ AsyncState AsyncState::load(std::span<const std::uint8_t> frame, std::size_t n_u
                           std::to_string(n_users));
   }
   s.queue.load_state(in);
-  const std::uint64_t n_flight = in.u64();
-  if (n_flight > in.remaining() / kMinDispatchBytes) {
-    throw CheckpointError("async state declares " + std::to_string(n_flight) +
-                          " in-flight clients but only " +
-                          std::to_string(in.remaining()) +
-                          " byte(s) remain — corrupted or malformed");
-  }
-  for (std::uint64_t i = 0; i < n_flight; ++i) {
-    AsyncDispatch d = load_dispatch(in, n_users);
-    if (d.id >= s.next_dispatch_id) {
-      throw CheckpointError("async state holds an in-flight dispatch id " +
-                            std::to_string(d.id) + " beyond the dispatch counter");
+  // In-flight and buffered records get the same checks: an id below the
+  // dispatch counter and unique across both lists, and a version no newer
+  // than the model (staleness = model_version - version would wrap).
+  std::set<std::uint64_t> ids;
+  const auto load_records = [&](std::string_view what, const auto& keep) {
+    const std::uint64_t count = in.u64();
+    if (count > in.remaining() / kMinDispatchBytes) {
+      throw CheckpointError("async state declares " + std::to_string(count) + " " +
+                            std::string(what) + " records but only " +
+                            std::to_string(in.remaining()) +
+                            " byte(s) remain — corrupted or malformed");
     }
-    check_version(d.version, s.model_version, "an in-flight dispatch");
-    const std::uint64_t id = d.id;
-    if (!s.in_flight.emplace(id, std::move(d)).second) {
-      throw CheckpointError("async state repeats in-flight dispatch id " +
-                            std::to_string(id));
+    for (std::uint64_t i = 0; i < count; ++i) {
+      AsyncDispatch d = load_dispatch(in, n_users);
+      const std::string where = std::string(what) + " dispatch id " + std::to_string(d.id);
+      if (d.id >= s.next_dispatch_id) {
+        throw CheckpointError("async state holds " + where + " beyond the dispatch counter");
+      }
+      if (!ids.insert(d.id).second) {
+        throw CheckpointError("async state repeats " + where);
+      }
+      if (d.version > s.model_version) {
+        throw CheckpointError("async state holds " + where +
+                              " trained against model version " +
+                              std::to_string(d.version) + ", beyond the saved model version " +
+                              std::to_string(s.model_version));
+      }
+      keep(std::move(d));
     }
-  }
-  const std::uint64_t n_buffer = in.u64();
-  if (n_buffer > in.remaining() / kMinArrivalBytes) {
-    throw CheckpointError("async state declares " + std::to_string(n_buffer) +
-                          " buffered updates but only " +
-                          std::to_string(in.remaining()) +
-                          " byte(s) remain — corrupted or malformed");
-  }
-  s.buffer.reserve(static_cast<std::size_t>(n_buffer));
-  for (std::uint64_t i = 0; i < n_buffer; ++i) {
-    s.buffer.push_back(load_arrival(in, n_users));
-    check_version(s.buffer.back().version, s.model_version, "a buffered update");
-  }
+  };
+  load_records("in-flight", [&](AsyncDispatch d) { s.in_flight.emplace(d.id, std::move(d)); });
+  load_records("buffered", [&](AsyncDispatch d) { s.buffer.push_back(std::move(d)); });
   StepAccum& acc = s.acc;
-  acc.dispatched_users = in.vec_size();
-  acc.dispatched_freqs = in.vec_f64();
-  acc.resolved_users = in.vec_size();
-  acc.resolved_freqs = in.vec_f64();
+  acc.dispatched.selected = in.vec_size();
+  acc.dispatched.frequencies_hz = in.vec_f64();
+  acc.resolved.selected = in.vec_size();
+  acc.resolved.frequencies_hz = in.vec_f64();
   acc.resolved_completed = in.vec_u8();
   acc.crashed = static_cast<std::size_t>(in.u64());
   acc.upload_failures = static_cast<std::size_t>(in.u64());
@@ -296,9 +252,9 @@ AsyncState AsyncState::load(std::span<const std::uint8_t> frame, std::size_t n_u
   acc.step_energy = in.f64();
   acc.step_wasted = in.f64();
   in.expect_end("checkpoint async state");
-  if (acc.resolved_users.size() != acc.resolved_freqs.size() ||
-      acc.resolved_users.size() != acc.resolved_completed.size() ||
-      acc.dispatched_users.size() != acc.dispatched_freqs.size()) {
+  if (acc.resolved.selected.size() != acc.resolved.frequencies_hz.size() ||
+      acc.resolved.selected.size() != acc.resolved_completed.size() ||
+      acc.dispatched.selected.size() != acc.dispatched.frequencies_hz.size()) {
     throw CheckpointError("async state step accumulators disagree in size");
   }
   // Every pending compute/upload/fault event must reference a live
@@ -344,9 +300,9 @@ AsyncTrainer::AsyncTrainer(nn::Sequential& model, const data::Dataset& train,
     : async_(async_options) {
   async_.validate();
   if (async_.mode == AsyncOptions::Mode::kSync) {
-    sync_ = std::make_unique<FederatedTrainer>(model, train, test, partition, devices,
-                                               channel, strategy, std::move(options));
-    return;
+    throw std::invalid_argument(
+        "AsyncTrainer: mode = sync is the barrier engine; construct "
+        "fl::FederatedTrainer for it");
   }
   world_ = std::make_unique<detail::RoundWorld>("AsyncTrainer", model, train, test,
                                                 partition, devices, channel, strategy,
@@ -363,11 +319,7 @@ AsyncTrainer::AsyncTrainer(nn::Sequential& model, const data::Dataset& train,
 
 AsyncTrainer::~AsyncTrainer() = default;
 
-TrainingHistory AsyncTrainer::run() { return sync_ ? sync_->run() : run_async_(); }
-
-sched::FleetView AsyncTrainer::fleet_view() const {
-  return sync_ ? sync_->fleet_view() : sched::FleetView{world_->users};
-}
+sched::FleetView AsyncTrainer::fleet_view() const { return {world_->users}; }
 
 // The event-driven FedBuff engine (docs/ASYNC.md).  A single deterministic
 // clock advances through the EventQueue; devices are (re-)dispatched the
@@ -377,7 +329,7 @@ sched::FleetView AsyncTrainer::fleet_view() const {
 // One server step (aggregation) plays the role the barrier round plays in
 // the sync engine: it owns a RoundRecord, the observe/report_completion
 // calls, the eval cadence, and the stop checks.
-TrainingHistory AsyncTrainer::run_async_() {
+TrainingHistory AsyncTrainer::run() {
   detail::RoundWorld& world = *world_;
   const TrainerOptions& options = world.options;
   const std::size_t n_users = world.users.size();
@@ -478,8 +430,8 @@ TrainingHistory AsyncTrainer::run_async_() {
       const std::uint64_t id = st.next_dispatch_id++;
       tasks.push_back(run.resolve_client(fleet, decision, k, id, id));
       st.busy[tasks[k].user] = 1;
-      st.acc.dispatched_users.push_back(tasks[k].user);
-      st.acc.dispatched_freqs.push_back(tasks[k].frequency_hz);
+      st.acc.dispatched.selected.push_back(tasks[k].user);
+      st.acc.dispatched.frequencies_hz.push_back(tasks[k].frequency_hz);
     }
 
     std::vector<detail::ClientOutcome> outcomes =
@@ -525,13 +477,13 @@ TrainingHistory AsyncTrainer::run_async_() {
   const auto aggregate = [&](bool flush) {
     obs::ScopedSpan aggregation_span(profiler, "aggregation",
                                      static_cast<std::int64_t>(st.step));
-    const std::vector<AsyncArrival>& buffer = st.buffer;
+    const std::vector<AsyncDispatch>& buffer = st.buffer;
     StepAccum& acc = st.acc;
     const std::size_t arrivals = buffer.size();
     const bool quorum_met = arrivals >= options.min_clients;
     double staleness_sum = 0.0;
-    for (const AsyncArrival& a : buffer) {
-      staleness_sum += static_cast<double>(st.model_version - a.version);
+    for (const AsyncDispatch& d : buffer) {
+      staleness_sum += static_cast<double>(st.model_version - d.version);
     }
     const double staleness_mean =
         arrivals > 0 ? staleness_sum / static_cast<double>(arrivals) : 0.0;
@@ -544,6 +496,7 @@ TrainingHistory AsyncTrainer::run_async_() {
     }
 
     double train_loss_sum = 0.0;
+    sched::Decision aggregated;
     if (quorum_met) {
       // Staleness-discounted FedBuff step: each buffered arrival holds the
       // client's *delta* from its dispatch base, weighted by
@@ -551,54 +504,45 @@ TrainingHistory AsyncTrainer::run_async_() {
       // current model.  With β = 0 every discount is exactly 1.0 and
       // fedavg_discounted degrades bitwise to the plain weighted mean.
       std::vector<DiscountedModel> uploads;
-      uploads.reserve(arrivals);
-      for (const AsyncArrival& a : buffer) {
-        const double staleness = static_cast<double>(st.model_version - a.version);
+      std::vector<double> losses;
+      for (const AsyncDispatch& d : buffer) {
+        const ClientUpdate& update = d.outcome.update;
+        const double staleness = static_cast<double>(st.model_version - d.version);
         const double discount =
             async_.staleness_beta == 0.0
                 ? 1.0
                 : 1.0 / std::pow(1.0 + staleness, async_.staleness_beta);
-        uploads.push_back({a.weights, a.num_samples, discount});
+        uploads.push_back({update.weights, update.num_samples, discount});
+        aggregated.selected.push_back(d.user);
+        aggregated.frequencies_hz.push_back(d.frequency_hz);
+        losses.push_back(update.train_loss);
+        train_loss_sum += update.train_loss;
       }
       const std::vector<float> mean_delta = fedavg_discounted(uploads);
       for (std::size_t i = 0; i < run.global_weights.size(); ++i) {
         run.global_weights[i] += mean_delta[i];
       }
       ++st.model_version;
-
-      sched::Decision agg_decision;
-      std::vector<double> losses;
-      for (const AsyncArrival& a : buffer) {
-        agg_decision.selected.push_back(a.user);
-        agg_decision.frequencies_hz.push_back(a.frequency_hz);
-        losses.push_back(a.train_loss);
-        train_loss_sum += a.train_loss;
-      }
-      world.strategy.observe(st.step, agg_decision, losses);
-      if (run.has_state && !buffer.empty()) {
-        nn::load_state(world.model, buffer.back().state);
-      }
+      world.strategy.observe(st.step, aggregated, losses);
+      if (run.has_state) nn::load_state(world.model, buffer.back().outcome.state);
     } else {
       // Quorum failed: the model holds still and every buffered update's
       // energy is wasted on top of what already failed this step.
-      for (const AsyncArrival& a : buffer) {
-        acc.step_wasted += a.energy_j;
-        train_loss_sum += a.train_loss;
+      for (const AsyncDispatch& d : buffer) {
+        acc.step_wasted += d.outcome.energy_j;
+        train_loss_sum += d.outcome.update.train_loss;
       }
     }
 
     // Completion feedback over everything resolved during this step, in
     // resolution order.  Tentative arrival marks (2) settle with the
     // step's quorum verdict.
-    if (!acc.resolved_users.empty()) {
-      sched::Decision resolved_decision;
-      resolved_decision.selected = acc.resolved_users;
-      resolved_decision.frequencies_hz = acc.resolved_freqs;
+    if (!acc.resolved.selected.empty()) {
       std::vector<std::uint8_t> completed = acc.resolved_completed;
       for (std::uint8_t& c : completed) {
         c = (c == 2 && quorum_met) ? 1 : 0;
       }
-      world.strategy.report_completion(st.step, resolved_decision, completed);
+      world.strategy.report_completion(st.step, acc.resolved, completed);
     }
     aggregation_span.finish();
 
@@ -609,7 +553,7 @@ TrainingHistory AsyncTrainer::run_async_() {
 
     RoundRecord record;
     record.round = st.step;
-    record.selected = acc.dispatched_users;
+    record.selected = acc.dispatched.selected;
     record.round_delay_s = st.now - st.step_start;
     record.round_energy_j = acc.step_energy;
     record.cum_delay_s = st.now;
@@ -618,9 +562,7 @@ TrainingHistory AsyncTrainer::run_async_() {
         arrivals > 0 ? train_loss_sum / static_cast<double>(arrivals) : 0.0;
     record.alive_users = run.alive_users();
     record.available_users = available;
-    if (quorum_met) {
-      for (const AsyncArrival& a : buffer) record.aggregated.push_back(a.user);
-    }
+    record.aggregated = std::move(aggregated.selected);
     record.survivors = record.aggregated.size();
     record.crashed = acc.crashed;
     record.upload_failures = acc.upload_failures;
@@ -660,16 +602,17 @@ TrainingHistory AsyncTrainer::run_async_() {
     if (!stopping) st.queue.push(st.now, EventKind::kChurn, 0, /*tag=*/st.step);
   };
 
-  // Pulls one resolved dispatch out of the in-flight map.
-  const auto take_flight = [&](std::uint64_t id) {
+  // The in-flight dispatch an event names; a terminal event extracts it.
+  const auto find_flight = [&](std::uint64_t id) {
     const auto it = st.in_flight.find(id);
     if (it == st.in_flight.end()) {
       throw std::logic_error("AsyncTrainer: event references unknown dispatch id " +
                              std::to_string(id));
     }
-    AsyncDispatch d = std::move(it->second);
-    st.in_flight.erase(it);
-    return d;
+    return it;
+  };
+  const auto take_flight = [&](std::uint64_t id) {
+    return std::move(st.in_flight.extract(find_flight(id)).mapped());
   };
 
   // Bootstrap: the first churn boundary enters the queue at t = 0.  A
@@ -677,14 +620,15 @@ TrainingHistory AsyncTrainer::run_async_() {
   if (!resumed && options.max_rounds > 0) {
     st.queue.push(0.0, EventKind::kChurn, 0, /*tag=*/st.step);
   }
-  if (options.max_rounds == 0) stopping = true;
+  // A snapshot taken right after the last step resumes into a finished run.
+  if (st.step >= options.max_rounds) stopping = true;
 
   while (!stopping) {
     if (st.queue.empty()) {
       // Nothing left in flight.  Flush a partial buffer (or settle pending
       // completion feedback) as one final server step; otherwise the run is
       // over — fleet depleted, strategy empty, or dispatch cap reached.
-      if (!st.buffer.empty() || !st.acc.resolved_users.empty()) {
+      if (!st.buffer.empty() || !st.acc.resolved.selected.empty()) {
         aggregate(/*flush=*/true);
         continue;
       }
@@ -702,7 +646,7 @@ TrainingHistory AsyncTrainer::run_async_() {
         run.fading.step();
         try_dispatch();
         if (st.in_flight.empty() && st.buffer.empty() && st.queue.empty() &&
-            st.acc.resolved_users.empty() && injector.active() &&
+            st.acc.resolved.selected.empty() && injector.active() &&
             injector.away_count() > 0 && st.next_dispatch_id < dispatch_cap &&
             st.step < options.max_rounds) {
           // Churn emptied the fleet before anything was dispatched: record
@@ -720,25 +664,18 @@ TrainingHistory AsyncTrainer::run_async_() {
       }
 
       case EventKind::kComputeFinish: {
-        // TDMA grant: the single uplink is a rolling cursor — this client
-        // transmits as soon as both it and the channel are ready, holding
-        // the channel for its full retry-inclusive occupancy.
-        const auto it = st.in_flight.find(event.tag);
-        if (it == st.in_flight.end()) {
-          throw std::logic_error("AsyncTrainer: compute_finish for unknown dispatch id " +
-                                 std::to_string(event.tag));
-        }
-        AsyncDispatch& d = it->second;
-        d.compute_end_s = event.time_s;
-        d.upload_start_s = std::max(event.time_s, st.uplink_free);
-        st.uplink_free = d.upload_start_s + d.outcome.occupancy_s;
-        st.queue.push(st.uplink_free, EventKind::kUploadFinish, d.user, d.id);
+        // TDMA grant (the rule of mec::Uplink): this client transmits as
+        // soon as both it and the channel are ready, holding the channel
+        // for its full retry-inclusive occupancy.
+        AsyncDispatch& d = find_flight(event.tag)->second;
+        d.slot = st.uplink.grant(d.user, event.time_s, d.outcome.occupancy_s);
+        st.queue.push(d.slot.upload_end, EventKind::kUploadFinish, d.user, d.id);
         break;
       }
 
       case EventKind::kUploadFinish: {
         AsyncDispatch d = take_flight(event.tag);
-        detail::ClientOutcome& outcome = d.outcome;
+        const detail::ClientOutcome& outcome = d.outcome;
         const mec::ClientFaults& faults = outcome.faults;
         StepAccum& acc = st.acc;
         st.busy[d.user] = 0;
@@ -758,47 +695,23 @@ TrainingHistory AsyncTrainer::run_async_() {
           accepted = true;
         }
 
-        if (run.tracing(obs::TraceLevel::kDecision)) {
-          tracer->emit(obs::TraceLevel::kDecision, "tdma",
-                       {{"round", st.step},
-                        {"user", d.user},
-                        {"attempts", outcome.attempts},
-                        {"compute_end_s", d.compute_end_s},
-                        {"upload_start_s", d.upload_start_s},
-                        {"upload_end_s", event.time_s},
-                        {"slack_s", d.upload_start_s - d.compute_end_s},
-                        {"accepted", accepted},
-                        {"dropped_late", false}});
+        run.emit_tdma(st.step, d.user, outcome.attempts, d.slot, accepted,
+                      /*dropped_late=*/false);
+        if (faults.slowdown > 1.0) {
+          run.emit_fault(st.step, d.user, "straggler", {{"slowdown", faults.slowdown}});
         }
-        if (run.tracing(obs::TraceLevel::kRound)) {
-          if (faults.slowdown > 1.0) {
-            tracer->emit(obs::TraceLevel::kRound, "fault",
-                         {{"round", st.step},
-                          {"user", d.user},
-                          {"kind", "straggler"},
-                          {"slowdown", faults.slowdown}});
-          }
-          if (faults.failed_attempts > 0) {
-            tracer->emit(obs::TraceLevel::kRound, "fault",
-                         {{"round", st.step},
-                          {"user", d.user},
-                          {"kind", "upload_failure"},
-                          {"failed_attempts", faults.failed_attempts},
+        if (faults.failed_attempts > 0) {
+          run.emit_fault(st.step, d.user, "upload_failure",
+                         {{"failed_attempts", faults.failed_attempts},
                           {"upload_ok", faults.upload_ok}});
-          }
-          if (!accepted && faults.upload_ok) {
-            tracer->emit(obs::TraceLevel::kRound, "fault",
-                         {{"round", st.step},
-                          {"user", d.user},
-                          {"kind", "dropped_stale"},
-                          {"staleness", staleness},
+        }
+        if (!accepted && faults.upload_ok) {
+          run.emit_fault(st.step, d.user, "dropped_stale",
+                         {{"staleness", staleness},
                           {"staleness_bound", async_.staleness_bound}});
-          }
         }
 
-        acc.resolved_users.push_back(d.user);
-        acc.resolved_freqs.push_back(d.frequency_hz);
-        acc.resolved_completed.push_back(accepted ? 2 : 0);
+        acc.resolve(d, accepted ? 2 : 0);
         if (accepted) {
           if (run.tracing(obs::TraceLevel::kDecision)) {
             tracer->emit(obs::TraceLevel::kDecision, "async.arrival",
@@ -809,17 +722,7 @@ TrainingHistory AsyncTrainer::run_async_() {
                           {"buffered", st.buffer.size() + 1},
                           {"buffer_k", st.effective_k}});
           }
-          AsyncArrival arrival;
-          arrival.user = d.user;
-          arrival.dispatch_id = d.id;
-          arrival.version = d.version;
-          arrival.frequency_hz = d.frequency_hz;
-          arrival.weights = std::move(outcome.update.weights);
-          arrival.train_loss = outcome.update.train_loss;
-          arrival.num_samples = outcome.update.num_samples;
-          arrival.state = std::move(outcome.state);
-          arrival.energy_j = outcome.energy_j;
-          st.buffer.push_back(std::move(arrival));
+          st.buffer.push_back(std::move(d));
         }
 
         ++st.resolutions;
@@ -837,7 +740,9 @@ TrainingHistory AsyncTrainer::run_async_() {
       case EventKind::kFault: {
         // Crash burn-out: the client dies crash_fraction of the way
         // through its local update — the cycles burned still cost energy,
-        // but nothing ever reaches the uplink.
+        // but nothing ever reaches the uplink.  The crash is its only fault
+        // event: unlike the barrier engine, this engine does not also
+        // report a crashed client's slowdown.
         const AsyncDispatch d = take_flight(event.tag);
         StepAccum& acc = st.acc;
         st.busy[d.user] = 0;
@@ -845,16 +750,9 @@ TrainingHistory AsyncTrainer::run_async_() {
         acc.step_wasted += d.outcome.energy_j;
         if (batteries_enabled) batteries.drain(d.user, d.outcome.energy_j);
         ++acc.crashed;
-        if (run.tracing(obs::TraceLevel::kRound)) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", st.step},
-                        {"user", d.user},
-                        {"kind", "crash"},
-                        {"crash_fraction", d.outcome.faults.crash_fraction}});
-        }
-        acc.resolved_users.push_back(d.user);
-        acc.resolved_freqs.push_back(d.frequency_hz);
-        acc.resolved_completed.push_back(0);
+        run.emit_fault(st.step, d.user, "crash",
+                       {{"crash_fraction", d.outcome.faults.crash_fraction}});
+        acc.resolve(d, 0);
         ++st.resolutions;
         try_dispatch();
         maybe_write_checkpoint();

@@ -12,11 +12,12 @@
 // (weight ∝ num_samples / (1 + staleness)^β), and re-dispatching freed
 // devices immediately through the existing SelectionStrategy machinery.
 //
-// With mode = kSync this class *is* FederatedTrainer: it builds one from
-// its arguments and forwards run() and fleet_view() to it.  Both engines
-// share their client execution, resume, checkpoint, evaluation and metrics
-// steps (fl/round_steps.h); tests/test_engine_golden.cpp pins each
-// engine's weights, CSV bytes and trace to recorded digests.
+// AsyncTrainer runs the async engine only; the barrier engine is
+// fl::FederatedTrainer (sim::run_experiment picks one by AsyncOptions::mode).
+// Both engines share their client execution, TDMA grant rule, resume,
+// checkpoint, trace, evaluation and metrics steps (fl/round_steps.h,
+// mec/tdma.h); tests/test_engine_golden.cpp pins each engine's weights, CSV
+// bytes and trace to recorded digests.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +40,7 @@ namespace helcfl::fl {
 /// Knobs of the async engine, layered on top of TrainerOptions.
 struct AsyncOptions {
   enum class Mode {
-    kSync,   ///< barrier engine: runs FederatedTrainer itself
+    kSync,   ///< barrier engine: fl::FederatedTrainer (AsyncTrainer rejects it)
     kAsync,  ///< event-driven: buffered staleness-discounted aggregation
   };
 
@@ -71,8 +72,8 @@ std::string async_mode_name(AsyncOptions::Mode mode);
 
 /// Discrete-event FL trainer over a simulated MEC fleet.  Construction
 /// mirrors FederatedTrainer (same borrow contract: model, datasets,
-/// devices, channel, and strategy must outlive the trainer); in sync mode
-/// it builds only that FederatedTrainer and none of the async state.
+/// devices, channel, and strategy must outlive the trainer) and throws
+/// std::invalid_argument when async_options.mode is kSync.
 class AsyncTrainer {
  public:
   AsyncTrainer(nn::Sequential& model, const data::Dataset& train,
@@ -82,21 +83,17 @@ class AsyncTrainer {
                AsyncOptions async_options);
   ~AsyncTrainer();
 
-  /// Runs the engine to completion and returns the trace.  In sync mode
-  /// one RoundRecord per barrier round (FederatedTrainer::run()); in async
-  /// mode one RoundRecord per server step (aggregation).  The final global
-  /// model remains loaded in the model passed at construction.
+  /// Runs the engine to completion and returns the trace: one RoundRecord
+  /// per server step (aggregation).  The final global model remains loaded
+  /// in the model passed at construction.
   TrainingHistory run();
 
   /// Fleet view the strategy sees (useful for tests and benches).
   sched::FleetView fleet_view() const;
 
  private:
-  TrainingHistory run_async_();
-
   AsyncOptions async_;
-  std::unique_ptr<FederatedTrainer> sync_;     ///< sync mode only
-  std::unique_ptr<detail::RoundWorld> world_;  ///< async mode only
+  std::unique_ptr<detail::RoundWorld> world_;
 };
 
 }  // namespace helcfl::fl

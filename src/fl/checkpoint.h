@@ -60,7 +60,10 @@ struct Checkpoint {
   /// async_state) between the battery state and the round records — the
   /// event queue, in-flight clients, and aggregation buffer of a mid-flight
   /// fl::AsyncTrainer snapshot (DESIGN.md §16, docs/ASYNC.md).
-  static constexpr std::uint32_t kVersion = 3;
+  /// v4: the async frame's buffer holds full dispatch records (the same
+  /// record as an in-flight client), and each record stores its TDMA grant
+  /// as an mec::UploadSlot.
+  static constexpr std::uint32_t kVersion = 4;
 
   // --- identity: rejected on mismatch at resume ---
   std::uint64_t seed = 0;       ///< TrainerOptions::seed of the saved run
@@ -90,14 +93,14 @@ struct Checkpoint {
   bool batteries_enabled = false;
   std::vector<std::uint8_t> battery_state;   ///< BatteryFleet::save_state
 
-  // --- async engine (v3; DESIGN.md §16) ---
-  /// True iff this snapshot was written by fl::AsyncTrainer in async mode.
-  /// A sync run (FederatedTrainer, or AsyncTrainer in sync mode, which is it)
-  /// writes false with an empty async_state; resuming a snapshot into the
-  /// wrong engine mode is rejected before any mutation.
+  // --- async engine (v3+; DESIGN.md §16) ---
+  /// True iff this snapshot was written by fl::AsyncTrainer.  A
+  /// FederatedTrainer run writes false with an empty async_state; resuming
+  /// a snapshot into the other engine is rejected before any mutation.
   bool async_enabled = false;
   /// AsyncTrainer's mid-flight frame: event queue, global clock, uplink
-  /// cursor, in-flight client outcomes, and the partial aggregation buffer.
+  /// cursor, and the dispatch records in flight and in the partial
+  /// aggregation buffer.
   std::vector<std::uint8_t> async_state;
 
   // --- accumulated metrics: replayed so the resumed CSV is byte-identical ---

@@ -13,6 +13,7 @@
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "tensor/ops.h"
+#include "util/file_io.h"
 #include "util/log.h"
 #include "util/serial.h"
 
@@ -155,8 +156,8 @@ std::optional<Checkpoint> RunState::resume(
         (ckpt.async_enabled
              ? "saved mid-flight by the async engine; resume it with an "
                "async-mode fl::AsyncTrainer (docs/ASYNC.md)"
-             : "saved by the sync engine; resume it with FederatedTrainer or "
-               "an AsyncTrainer in --mode=sync (docs/ASYNC.md)"));
+             : "saved by the sync engine; resume it with FederatedTrainer "
+               "(docs/ASYNC.md)"));
   }
 
   mec::BatteryFleet restored_batteries;
@@ -254,13 +255,8 @@ Checkpoint RunState::snapshot(std::uint64_t next_round, double cum_delay) const 
 
 void RunState::write_checkpoint(const Checkpoint& ckpt, std::size_t token,
                                 std::size_t trace_round) const {
-  std::string path = world.options.checkpoint_path;
-  constexpr std::string_view kToken = "{round}";
-  const std::string value = std::to_string(token);
-  for (std::size_t pos = path.find(kToken); pos != std::string::npos;
-       pos = path.find(kToken, pos + value.size())) {
-    path.replace(pos, kToken.size(), value);
-  }
+  const std::string path =
+      util::expand_token(world.options.checkpoint_path, "{round}", std::to_string(token));
   ckpt.write_file(path);
   if (tracing(obs::TraceLevel::kRound)) {
     tracer->emit(obs::TraceLevel::kRound, "checkpoint_write",
@@ -416,6 +412,30 @@ std::vector<ClientOutcome> RunState::train_cohort(
                              failures);
   }
   return outcomes;
+}
+
+void RunState::emit_tdma(std::size_t round, std::size_t user, std::size_t attempts,
+                         const mec::UploadSlot& slot, bool accepted,
+                         bool dropped_late) const {
+  if (!tracing(obs::TraceLevel::kDecision)) return;
+  tracer->emit(obs::TraceLevel::kDecision, "tdma",
+               {{"round", round},
+                {"user", user},
+                {"attempts", attempts},
+                {"compute_end_s", slot.compute_end},
+                {"upload_start_s", slot.upload_start},
+                {"upload_end_s", slot.upload_end},
+                {"slack_s", slot.slack_s},
+                {"accepted", accepted},
+                {"dropped_late", dropped_late}});
+}
+
+void RunState::emit_fault(std::size_t round, std::size_t user, std::string_view kind,
+                          std::initializer_list<obs::Field> detail) const {
+  if (!tracing(obs::TraceLevel::kRound)) return;
+  std::vector<obs::Field> fields = {{"round", round}, {"user", user}, {"kind", kind}};
+  fields.insert(fields.end(), detail.begin(), detail.end());
+  tracer->emit(obs::TraceLevel::kRound, "fault", fields);
 }
 
 void RunState::skip_round(std::size_t round, double cum_delay, std::size_t available) {

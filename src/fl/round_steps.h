@@ -1,21 +1,22 @@
 // Steps shared by the two round engines: the barrier loop of
 // fl::FederatedTrainer (fl/trainer.cpp) and the event loop of
-// fl::AsyncTrainer in async mode (fl/async_trainer.cpp).  Internal to
+// fl::AsyncTrainer (fl/async_trainer.cpp).  Internal to
 // src/fl/; not a public API.
 //
 // Each engine keeps its own loop — churn, fading and selection advance per
 // barrier round in one and per server step in the other — and calls these
 // pieces for what both do the same way: construction checks, per-run
 // set-up, the common half of checkpoint resume and snapshot, one client's
-// execution, the cohort fan-out, evaluation, the per-step metrics export
-// and the stop checks.  tests/test_engine_golden.cpp pins both engines'
-// weights, CSV bytes and traces, so a change here that moves either engine
-// fails there.
+// execution, the cohort fan-out, the tdma and fault trace events,
+// evaluation, the per-step metrics export and the stop checks.
+// tests/test_engine_golden.cpp pins both engines' weights, CSV bytes and
+// traces, so a change here that moves either engine fails there.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <span>
@@ -34,6 +35,7 @@
 #include "mec/device.h"
 #include "mec/fading.h"
 #include "mec/faults.h"
+#include "mec/tdma.h"
 #include "nn/sequential.h"
 #include "obs/trace.h"
 #include "sched/scheduler.h"
@@ -185,6 +187,16 @@ struct RunState {
   std::vector<ClientOutcome> train_cohort(
       std::span<const ClientTask> tasks, std::string_view unit, std::size_t index,
       const std::function<void(ClientOutcome&)>& finish = {});
+
+  /// One `tdma` decision event: `user`'s uplink grant `slot` (the Fig. 1
+  /// timeline) and what became of the upload.
+  void emit_tdma(std::size_t round, std::size_t user, std::size_t attempts,
+                 const mec::UploadSlot& slot, bool accepted, bool dropped_late) const;
+
+  /// One `fault` round event: round, user and `kind`, then `detail`.  Each
+  /// engine decides which kinds it emits and in what order.
+  void emit_fault(std::size_t round, std::size_t user, std::string_view kind,
+                  std::initializer_list<obs::Field> detail) const;
 
   /// Records a round that churn emptied: nothing selected, quorum failed.
   void skip_round(std::size_t round, double cum_delay, std::size_t available);

@@ -111,12 +111,6 @@ Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
   return eval;
 }
 
-Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
-                    const data::Dataset& dataset, std::size_t batch_size) {
-  if (dataset.size() == 0) throw std::invalid_argument("evaluate: empty dataset");
-  return evaluate(model, weights, make_eval_plan(dataset, batch_size));
-}
-
 Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
                              std::span<const float> weights,
                              const EvalPlan& plan, util::ThreadPool& pool) {
@@ -169,15 +163,6 @@ Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
   eval.accuracy =
       static_cast<double>(total_correct) / static_cast<double>(plan.total);
   return eval;
-}
-
-Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
-                             std::span<const float> weights,
-                             const data::Dataset& dataset, std::size_t batch_size,
-                             util::ThreadPool& pool) {
-  if (dataset.size() == 0) throw std::invalid_argument("evaluate: empty dataset");
-  return evaluate_parallel(replicas, weights,
-                           make_eval_plan(dataset, batch_size), pool);
 }
 
 }  // namespace helcfl::fl

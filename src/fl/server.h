@@ -53,9 +53,8 @@ struct Evaluation {
 /// trainer evaluates the same test set every eval round (and the separated
 /// baseline evaluates every user's model on it), so re-gathering the batch
 /// tensors per evaluation is pure waste — a plan materializes them once.
-/// Batches cover [0, total) in order with the same boundaries the direct
-/// evaluate() overloads use, so plan-based results are bitwise identical
-/// to dataset-based ones for the same batch size.
+/// Batches cover [0, total) in order, `batch_size` samples each (the last
+/// one possibly shorter).
 struct EvalPlan {
   std::vector<data::Batch> batches;
   std::size_t total = 0;  ///< dataset size = sum of batch sizes
@@ -72,13 +71,6 @@ EvalPlan make_eval_plan(const data::Dataset& dataset, std::size_t batch_size);
 Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
                     const EvalPlan& plan);
 
-/// Evaluates `model` (with `weights` loaded) on `dataset`, batched to bound
-/// peak memory.  Leaves `weights` loaded in the model.  Gathers the batches
-/// on every call; callers that evaluate repeatedly should build an
-/// EvalPlan once instead.
-Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
-                    const data::Dataset& dataset, std::size_t batch_size = 256);
-
 /// Multi-threaded evaluate: distributes the evaluation batches over `pool`,
 /// where worker i forwards through `replicas[i]` (one model per worker, so
 /// layer caches never race).  `weights` is loaded into every replica first
@@ -90,11 +82,5 @@ Evaluation evaluate(nn::Sequential& model, std::span<const float> weights,
 Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
                              std::span<const float> weights,
                              const EvalPlan& plan, util::ThreadPool& pool);
-
-/// Dataset-gathering convenience over the plan-based overload above.
-Evaluation evaluate_parallel(std::span<nn::Sequential* const> replicas,
-                             std::span<const float> weights,
-                             const data::Dataset& dataset, std::size_t batch_size,
-                             util::ThreadPool& pool);
 
 }  // namespace helcfl::fl

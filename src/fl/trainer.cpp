@@ -218,59 +218,31 @@ TrainingHistory FederatedTrainer::run() {
       if (outcomes[k].faults.upload_ok) {
         (slot.upload_end <= cutoff ? accepted : dropped_late)[k] = 1;
       }
-      // TDMA telemetry in grant order — the Fig.-1 timeline, one event per
-      // transmitting client.
-      if (run.tracing(obs::TraceLevel::kDecision)) {
-        tracer->emit(obs::TraceLevel::kDecision, "tdma",
-                     {{"round", round},
-                      {"user", decision.selected[k]},
-                      {"attempts", outcomes[k].attempts},
-                      {"compute_end_s", slot.compute_end},
-                      {"upload_start_s", slot.upload_start},
-                      {"upload_end_s", slot.upload_end},
-                      {"slack_s", slot.slack_s},
-                      {"accepted", accepted[k] != 0},
-                      {"dropped_late", dropped_late[k] != 0}});
-      }
+      // TDMA telemetry in grant order — the Fig.-1 timeline.
+      run.emit_tdma(round, decision.selected[k], outcomes[k].attempts, slot,
+                    accepted[k] != 0, dropped_late[k] != 0);
     }
     const double round_delay = std::min(schedule.round_delay_s, cutoff);
 
     // Fault telemetry, selection order: what the injector (and the cutoff)
     // actually did to this cohort.  Reads only the pre-drawn fault records
     // and the TDMA outcome — emitting changes no draw.
-    if (run.tracing(obs::TraceLevel::kRound)) {
-      for (std::size_t k = 0; k < cohort; ++k) {
-        const std::size_t user = decision.selected[k];
-        const mec::ClientFaults& faults = outcomes[k].faults;
-        if (faults.crashed) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "crash"},
-                        {"crash_fraction", faults.crash_fraction}});
-        }
-        if (faults.slowdown > 1.0) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "straggler"},
-                        {"slowdown", faults.slowdown}});
-        }
-        if (faults.failed_attempts > 0) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "upload_failure"},
-                        {"failed_attempts", faults.failed_attempts},
+    for (std::size_t k = 0; k < cohort; ++k) {
+      const std::size_t user = decision.selected[k];
+      const mec::ClientFaults& faults = outcomes[k].faults;
+      if (faults.crashed) {
+        run.emit_fault(round, user, "crash", {{"crash_fraction", faults.crash_fraction}});
+      }
+      if (faults.slowdown > 1.0) {
+        run.emit_fault(round, user, "straggler", {{"slowdown", faults.slowdown}});
+      }
+      if (faults.failed_attempts > 0) {
+        run.emit_fault(round, user, "upload_failure",
+                       {{"failed_attempts", faults.failed_attempts},
                         {"upload_ok", faults.upload_ok}});
-        }
-        if (dropped_late[k] != 0) {
-          tracer->emit(obs::TraceLevel::kRound, "fault",
-                       {{"round", round},
-                        {"user", user},
-                        {"kind", "dropped_late"},
-                        {"cutoff_s", cutoff}});
-        }
+      }
+      if (dropped_late[k] != 0) {
+        run.emit_fault(round, user, "dropped_late", {{"cutoff_s", cutoff}});
       }
     }
 

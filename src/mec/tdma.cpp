@@ -6,6 +6,17 @@
 
 namespace helcfl::mec {
 
+UploadSlot Uplink::grant(std::size_t index, double compute_end, double duration) {
+  UploadSlot slot;
+  slot.index = index;
+  slot.compute_end = compute_end;
+  slot.upload_start = std::max(compute_end, free_at);
+  slot.upload_end = slot.upload_start + duration;
+  slot.slack_s = slot.upload_start - compute_end;
+  free_at = slot.upload_end;
+  return slot;
+}
+
 TdmaSchedule schedule_uploads(std::span<const double> compute_delays,
                               std::span<const double> upload_durations) {
   if (compute_delays.size() != upload_durations.size()) {
@@ -26,15 +37,9 @@ TdmaSchedule schedule_uploads(std::span<const double> compute_delays,
 
   TdmaSchedule schedule;
   schedule.slots.reserve(order.size());
-  double link_free_at = 0.0;
+  Uplink uplink;
   for (const std::size_t i : order) {
-    UploadSlot slot;
-    slot.index = i;
-    slot.compute_end = compute_delays[i];
-    slot.upload_start = std::max(slot.compute_end, link_free_at);
-    slot.upload_end = slot.upload_start + upload_durations[i];
-    slot.slack_s = slot.upload_start - slot.compute_end;
-    link_free_at = slot.upload_end;
+    const UploadSlot slot = uplink.grant(i, compute_delays[i], upload_durations[i]);
     schedule.total_slack_s += slot.slack_s;
     schedule.round_delay_s = std::max(schedule.round_delay_s, slot.upload_end);
     schedule.slots.push_back(slot);

@@ -5,7 +5,9 @@
 // schedule_uploads() reconstructs that timeline: grants are issued in
 // compute-completion order (ties broken by position), and each user's
 // *slack* is the waiting gap that HELCFL's Algorithm 3 reclaims by slowing
-// the CPU.
+// the CPU.  Uplink::grant() is the one grant rule: schedule_uploads() applies
+// it to a whole barrier cohort, and the async engine (fl/async_trainer.cpp)
+// applies it one compute completion at a time.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +24,16 @@ struct UploadSlot {
   double upload_start = 0.0;    ///< when the uplink grant begins
   double upload_end = 0.0;      ///< upload_start + upload duration
   double slack_s = 0.0;         ///< upload_start - compute_end (idle wait)
+};
+
+/// The shared uplink as a rolling cursor.
+struct Uplink {
+  double free_at = 0.0;  ///< when the current holder releases the channel
+
+  /// Grants the channel to `index`, whose local update finished at
+  /// `compute_end`, for `duration` seconds: it transmits as soon as both it
+  /// and the channel are ready.  Advances free_at to the slot's upload_end.
+  UploadSlot grant(std::size_t index, double compute_end, double duration);
 };
 
 /// The full round timeline.

@@ -42,16 +42,6 @@ bool valid_delay(double value) {
   return std::isfinite(value) && value > 0.0;
 }
 
-/// Replaces the first "{decisions}" in a snapshot path template.
-std::string expand_snapshot_path(const std::string& path,
-                                 std::uint64_t decisions) {
-  const std::string token = "{decisions}";
-  const std::size_t at = path.find(token);
-  if (at == std::string::npos) return path;
-  return path.substr(0, at) + std::to_string(decisions) +
-         path.substr(at + token.size());
-}
-
 }  // namespace
 
 void ServiceOptions::validate() const {
@@ -335,8 +325,8 @@ void SchedulerService::maybe_autosnapshot() {
       stats_.decisions % options_.snapshot_every != 0) {
     return;
   }
-  const std::string path =
-      expand_snapshot_path(options_.snapshot_path, stats_.decisions);
+  const std::string path = util::expand_token(
+      options_.snapshot_path, "{decisions}", std::to_string(stats_.decisions));
   write_snapshot(path);
   ++stats_.snapshots_written;
   count("svc.snapshots");

@@ -76,6 +76,7 @@ struct ServiceOptions {
   // --- crash recovery ----------------------------------------------------
   /// Write a snapshot to snapshot_path after every Nth decision (0 = off).
   std::uint64_t snapshot_every = 0;
+  /// Every "{decisions}" in the path expands to the decision count.
   std::string snapshot_path;
 
   /// Throws ServiceError with an actionable message on bad knobs.

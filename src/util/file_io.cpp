@@ -7,6 +7,15 @@
 
 namespace helcfl::util {
 
+std::string expand_token(std::string path, std::string_view token,
+                         std::string_view value) {
+  for (std::size_t pos = path.find(token); pos != std::string::npos;
+       pos = path.find(token, pos + value.size())) {
+    path.replace(pos, token.size(), value);
+  }
+  return path;
+}
+
 void write_file_atomic(const std::string& path,
                        std::span<const std::uint8_t> bytes) {
   const std::string tmp = path + ".tmp";

@@ -1,5 +1,6 @@
 // Crash-safe file I/O shared by every snapshot format (fl::Checkpoint,
-// svc::SchedulerService snapshots).
+// svc::SchedulerService snapshots), and the path-template expansion both
+// use for their cadenced snapshot names.
 //
 // write_file_atomic() writes to `path` + ".tmp" and renames over `path`,
 // so a crash mid-write never leaves a torn file under the final name —
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace helcfl::util {
@@ -20,6 +22,11 @@ namespace helcfl::util {
 /// file is removed on failure.
 void write_file_atomic(const std::string& path,
                        std::span<const std::uint8_t> bytes);
+
+/// `path` with every occurrence of `token` (e.g. "{round}") replaced by
+/// `value`.
+std::string expand_token(std::string path, std::string_view token,
+                         std::string_view value);
 
 /// Reads all of `path`.  Throws std::runtime_error naming the path if the
 /// file cannot be opened or read.

@@ -170,10 +170,8 @@ inline ResumeRun run_resume_case(const ResumeWorld& world,
 
 /// run_resume_case's sibling for the async engine (DESIGN.md §16):
 /// identical model / strategy / tracer construction, but drives
-/// fl::AsyncTrainer with the given engine options.  With a default
-/// AsyncOptions (mode = kSync) the output must be bitwise identical to
-/// run_resume_case — tests/test_async_differential.cpp enforces exactly
-/// that.
+/// fl::AsyncTrainer with the given engine options (mode = kAsync; the
+/// trainer rejects kSync).
 inline ResumeRun run_async_case(const ResumeWorld& world,
                                 const std::string& strategy_name,
                                 fl::TrainerOptions options,

@@ -1,16 +1,16 @@
 // Engine-level differentials for fl::AsyncTrainer (DESIGN.md §16,
-// docs/ASYNC.md).  With --mode=sync, AsyncTrainer *is* fl::FederatedTrainer
-// (it builds one and forwards to it), so the sync cases below check that
-// forwarding bitwise — final weights, every RoundRecord field, the metrics
-// CSV bytes, and the full JSONL trace.  Both engines share their client,
-// resume, checkpoint, evaluation and metrics steps (fl/round_steps.h), so
-// engine behaviour itself is guarded by tests/test_engine_golden.cpp, which
-// pins each engine to digests recorded before the engines shared code.
+// docs/ASYNC.md).  AsyncTrainer runs the async engine only; both engines
+// share their client, TDMA, resume, checkpoint, trace, evaluation and
+// metrics steps (fl/round_steps.h), so engine behaviour itself is guarded by
+// tests/test_engine_golden.cpp, which pins each engine to digests recorded
+// before the engines shared code.
 //
-// The async mode carries the repo's determinism contract instead: a run is
-// bitwise reproducible and invariant under --threads, because all event
-// ordering flows from the (time, seq) total order, per-client RNG forks
-// key on dispatch id, and fault draws key on (dispatch, user).
+// The async engine carries the repo's determinism contract: a run is
+// bitwise reproducible — final weights, every RoundRecord field, the
+// metrics CSV bytes, and the full JSONL trace — and invariant under
+// --threads, because all event ordering flows from the (time, seq) total
+// order, per-client RNG forks key on dispatch id, and fault draws key on
+// (dispatch, user).
 //
 // Default depth covers three structurally distinct strategies; set
 // HELCFL_DIFF_DEEP=1 (the `slow` ctest label) for the full
@@ -60,8 +60,8 @@ std::filesystem::path scratch_dir(const std::string& name) {
 }
 
 /// The full bitwise identity: weights, history fields, CSV bytes, and the
-/// *raw* trace strings (both engines emit the same events with the same
-/// seqs in sync mode — nothing to canonicalize away).
+/// *raw* trace strings (two runs of one configuration emit the same events
+/// with the same seqs — nothing to canonicalize away).
 void expect_bitwise_identical(const std::string& label, const ResumeRun& golden,
                               const ResumeRun& candidate) {
   SCOPED_TRACE(label);
@@ -90,36 +90,6 @@ void expect_bitwise_identical_across_threads(const std::string& label,
   const std::vector<std::string> canon = canonical_trace(a.trace, 0);
   EXPECT_FALSE(canon.empty());
   EXPECT_EQ(canon, canonical_trace(b.trace, 0));
-}
-
-TEST(AsyncDifferential, SyncModeReproducesFederatedTrainerBitwise) {
-  const ResumeWorld& world = shared_world();
-  const fl::AsyncOptions sync_engine;  // mode = kSync
-  for (const std::string& strategy : differential_strategies()) {
-    for (const bool faults : {false, true}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const fl::TrainerOptions options = resume_options(faults, threads);
-        const ResumeRun golden = run_resume_case(world, strategy, options);
-        const ResumeRun mirrored = run_async_case(world, strategy, options, sync_engine);
-        expect_bitwise_identical(strategy + (faults ? "/faults" : "/clean") +
-                                     "/threads=" + std::to_string(threads),
-                                 golden, mirrored);
-      }
-    }
-  }
-}
-
-TEST(AsyncDifferential, SyncModeMatchesUnderStragglerCutoffAndQuorum) {
-  // The cutoff/quorum paths reorder nothing but exercise the drop logic the
-  // event loop had to reproduce (partial TDMA billing, wasted energy).
-  const ResumeWorld& world = shared_world();
-  fl::TrainerOptions options = resume_options(true, 2);
-  options.straggler_cutoff_s = 600.0;
-  options.min_clients = 2;
-  const ResumeRun golden = run_resume_case(world, "HELCFL", options);
-  const ResumeRun mirrored =
-      run_async_case(world, "HELCFL", options, fl::AsyncOptions{});
-  expect_bitwise_identical("HELCFL/cutoff", golden, mirrored);
 }
 
 fl::AsyncOptions fedbuff_engine() {
@@ -196,6 +166,17 @@ TEST(AsyncDifferential, AsyncRejectsBufferBelowQuorum) {
   async.buffer_k = 2;  // every aggregation would fail its quorum
   EXPECT_THROW(run_async_case(world, "HELCFL", options, async),
                std::invalid_argument);
+}
+
+TEST(AsyncDifferential, SyncModeIsRejectedInFavourOfFederatedTrainer) {
+  const ResumeWorld& world = shared_world();
+  try {
+    run_async_case(world, "HELCFL", resume_options(false, 1), fl::AsyncOptions{});
+    ADD_FAILURE() << "AsyncTrainer accepted mode = sync";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("FederatedTrainer"), std::string::npos)
+        << "got: " << error.what();
+  }
 }
 
 }  // namespace

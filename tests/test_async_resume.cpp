@@ -4,13 +4,15 @@
 // resolution cadence, while other clients are still computing, the event
 // queue holds their completions, and the aggregation buffer may be partially
 // full.  Resuming such a snapshot must continue bitwise identically to the
-// run that never stopped — the v3 async frame captures the queue, the
-// global clock, the in-flight outcomes, and the partial buffer exactly.
+// run that never stopped — the async frame captures the queue, the global
+// clock, and the dispatch records in flight and in the partial buffer
+// exactly.
 //
 // Also covered: the engine-mode firewall (a sync snapshot cannot feed the
 // async engine and vice versa), and the parse-then-commit discipline — a
 // truncated, gutted or inconsistent async frame is rejected with the
-// trainer (and its model) untouched.
+// trainer (and its model) untouched.  Buffered records are parsed exactly
+// like in-flight ones, so they get the same id and version checks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -25,6 +28,7 @@
 
 #include "fl/async_trainer.h"
 #include "fl/checkpoint.h"
+#include "fl/event_queue.h"
 #include "nn/models.h"
 #include "nn/serialize.h"
 #include "obs/trace.h"
@@ -130,6 +134,27 @@ TEST(AsyncResume, EveryCadencePointResumesBitwiseIdentically) {
   EXPECT_TRUE(saw_buffered);
 }
 
+// The resolution that closes the last step also writes a snapshot, while
+// other clients are still in flight; resuming it must not run another step.
+TEST(AsyncResume, SnapshotAfterTheLastStepResumesIntoAFinishedRun) {
+  const std::filesystem::path dir = testing::resume_tmp_dir("async_last_step");
+  TrainerOptions golden_options = testing::resume_options(/*faults=*/true, 1);
+  golden_options.checkpoint_every = 1;
+  golden_options.checkpoint_path = (dir / "ckpt_r{round}.bin").string();
+  const testing::ResumeRun golden =
+      testing::run_async_case(world(), "HELCFL", golden_options, fedbuff_engine());
+
+  const std::filesystem::path last = cadence_files(dir).back();
+  const Checkpoint ckpt = Checkpoint::read_file(last.string());
+  ASSERT_EQ(ckpt.records.size(), golden.history.size())
+      << "the last snapshot must follow the last step";
+  TrainerOptions resumed_options = testing::resume_options(/*faults=*/true, 1);
+  resumed_options.resume_from = last.string();
+  const testing::ResumeRun resumed = testing::run_async_case(
+      world(), "HELCFL", resumed_options, fedbuff_engine());
+  testing::expect_bitwise_resume(dir, golden, resumed, ckpt.trace_seq);
+}
+
 // A snapshot taken by a sequential run must resume bitwise identically on a
 // 4-thread pool: worker count is rebuild-time configuration, not state.
 TEST(AsyncResume, SnapshotsAreThreadCountPortable) {
@@ -218,14 +243,13 @@ TEST(AsyncResume, SyncSnapshotIsRejectedByTheAsyncEngine) {
       testing::run_async_case(world(), "HELCFL", options, fedbuff_engine()),
       CheckpointError);
 
-  // The sync engine of AsyncTrainer accepts it — and stays bitwise golden.
+  // FederatedTrainer accepts it — and stays bitwise golden.
   const Checkpoint ckpt = Checkpoint::read_file(sync_ckpt);
-  const testing::ResumeRun resumed =
-      testing::run_async_case(world(), "HELCFL", options, AsyncOptions{});
+  const testing::ResumeRun resumed = testing::run_resume_case(world(), "HELCFL", options);
   testing::expect_bitwise_resume(dir, golden, resumed, ckpt.trace_seq);
 }
 
-TEST(AsyncResume, AsyncSnapshotIsRejectedByBothSyncEngines) {
+TEST(AsyncResume, AsyncSnapshotIsRejectedByTheSyncEngine) {
   const std::filesystem::path dir = testing::resume_tmp_dir("async_mode_firewall2");
   TrainerOptions golden_options = testing::resume_options(/*faults=*/false, 1);
   golden_options.checkpoint_every = 3;
@@ -237,18 +261,16 @@ TEST(AsyncResume, AsyncSnapshotIsRejectedByBothSyncEngines) {
 
   TrainerOptions options = testing::resume_options(/*faults=*/false, 1);
   options.resume_from = snapshots.front().string();
-  // FederatedTrainer proper.
   EXPECT_THROW(testing::run_resume_case(world(), "HELCFL", options), CheckpointError);
-  // AsyncTrainer degenerated to the barrier engine.
-  EXPECT_THROW(testing::run_async_case(world(), "HELCFL", options, AsyncOptions{}),
-               CheckpointError);
 }
 
 // --- parse-then-commit under corruption -----------------------------------
 
 /// Runs an async resume attempt against `path` on a hand-built trainer and
-/// asserts it throws without touching the model.
-void expect_rejected_resume_leaves_model_untouched(const std::string& path) {
+/// asserts it throws (with `message_piece` in the error) without touching
+/// the model.
+void expect_rejected_resume_leaves_model_untouched(const std::string& path,
+                                                   const std::string& message_piece = "") {
   util::Rng model_rng(92);
   const std::unique_ptr<nn::Sequential> model = nn::make_model(
       nn::ModelKind::kLogistic, world().split.train.spec(), 10, model_rng);
@@ -261,7 +283,13 @@ void expect_rejected_resume_leaves_model_untouched(const std::string& path) {
                        world().partition, world().devices,
                        testing::paper_channel(), *strategy, options,
                        fedbuff_engine());
-  EXPECT_THROW(trainer.run(), CheckpointError);
+  try {
+    trainer.run();
+    ADD_FAILURE() << "resumed from a corrupt async frame: " << path;
+  } catch (const CheckpointError& error) {
+    EXPECT_NE(std::string(error.what()).find(message_piece), std::string::npos)
+        << "got: " << error.what();
+  }
   EXPECT_EQ(nn::extract_parameters(*model), initial);
 }
 
@@ -313,6 +341,109 @@ TEST(AsyncResume, CorruptAsyncFramesAreRejectedWithoutSideEffects) {
     bad.write_file(path);
     expect_rejected_resume_leaves_model_untouched(path);
   }
+}
+
+
+/// Reads past one dispatch record of the v4 async frame.
+void skip_dispatch(util::ByteReader& in) {
+  for (int i = 0; i < 3; ++i) in.u64();  // id, user, version
+  for (int i = 0; i < 2; ++i) in.f64();  // frequency, dispatch time
+  in.u64();                              // TDMA grant: index...
+  for (int i = 0; i < 4; ++i) in.f64();  // ...compute end, start, end, slack
+  for (int i = 0; i < 3; ++i) in.f64();  // compute delay, upload duration, occupancy
+  in.u64();                              // attempts
+  for (int i = 0; i < 3; ++i) in.boolean();  // upload ok, trained, crashed
+  for (int i = 0; i < 2; ++i) in.f64();  // crash fraction, slowdown
+  in.u64();                              // failed attempts
+  in.f64();                              // energy
+  in.vec_f32();                          // update weights
+  in.f64();                              // train loss
+  in.u64();                              // samples
+  in.vec_f32();                          // persistent state
+}
+
+/// Where the dispatch ids of an async frame sit: byte offsets of the
+/// in-flight records' ids, then of the buffered records' ids.
+struct FrameIds {
+  std::uint64_t counter = 0;  ///< next_dispatch_id
+  std::vector<std::size_t> in_flight;
+  std::vector<std::size_t> buffered;
+};
+
+FrameIds frame_ids(const std::vector<std::uint8_t>& frame) {
+  util::ByteReader in(frame);
+  FrameIds ids;
+  in.u64();  // model version
+  in.u64();  // step
+  ids.counter = in.u64();
+  for (int i = 0; i < 2; ++i) in.u64();  // resolutions, effective K
+  for (int i = 0; i < 3; ++i) in.f64();  // clock, uplink, step start
+  in.vec_u8();                           // busy mask
+  EventQueue queue;
+  queue.load_state(in);
+  for (std::vector<std::size_t>* offsets : {&ids.in_flight, &ids.buffered}) {
+    const std::uint64_t count = in.u64();
+    for (std::uint64_t i = 0; i < count; ++i) {
+      offsets->push_back(frame.size() - in.remaining());
+      skip_dispatch(in);
+    }
+  }
+  // The step accumulators close the frame; reaching its end exactly proves
+  // the walk above stayed on record boundaries.
+  in.vec_size();
+  in.vec_f64();
+  in.vec_size();
+  in.vec_f64();
+  in.vec_u8();
+  for (int i = 0; i < 4; ++i) in.u64();
+  for (int i = 0; i < 2; ++i) in.f64();
+  in.expect_end("async frame walk");
+  return ids;
+}
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& bytes, std::size_t offset) {
+  std::uint64_t value = 0;
+  for (int b = 7; b >= 0; --b) value = (value << 8) | bytes[offset + b];
+  return value;
+}
+
+TEST(AsyncResume, BufferedRecordsGetTheInFlightIdChecks) {
+  const std::filesystem::path dir = testing::resume_tmp_dir("async_buffered_ids");
+  TrainerOptions golden_options = testing::resume_options(/*faults=*/true, 1);
+  golden_options.checkpoint_every = 3;
+  golden_options.checkpoint_path = (dir / "ckpt_r{round}.bin").string();
+  testing::run_async_case(world(), "HELCFL", golden_options, fedbuff_engine());
+
+  // A snapshot with records both in flight and in the buffer.
+  std::optional<Checkpoint> good;
+  FrameIds ids;
+  for (const std::filesystem::path& path : cadence_files(dir)) {
+    Checkpoint ckpt = Checkpoint::read_file(path.string());
+    ids = frame_ids(ckpt.async_state);
+    if (!ids.in_flight.empty() && !ids.buffered.empty()) {
+      good = std::move(ckpt);
+      break;
+    }
+  }
+  ASSERT_TRUE(good.has_value()) << "no snapshot holds in-flight and buffered records";
+
+  const auto with_buffered_id = [&](std::uint64_t id, const std::string& name) {
+    Checkpoint bad = *good;
+    for (int b = 0; b < 8; ++b) {
+      bad.async_state[ids.buffered.front() + b] = static_cast<std::uint8_t>(id >> (8 * b));
+    }
+    const std::string path = (dir / name).string();
+    bad.write_file(path);
+    return path;
+  };
+  expect_rejected_resume_leaves_model_untouched(
+      with_buffered_id(ids.counter, "buffered_beyond_counter.bin"),
+      "buffered dispatch id " + std::to_string(ids.counter) +
+          " beyond the dispatch counter");
+  const std::uint64_t in_flight_id = get_u64(good->async_state, ids.in_flight.front());
+  expect_rejected_resume_leaves_model_untouched(
+      with_buffered_id(in_flight_id, "buffered_repeats_in_flight.bin"),
+      "repeats buffered dispatch id " + std::to_string(in_flight_id));
 }
 
 }  // namespace

@@ -108,9 +108,12 @@ TEST(CheckpointAdversarial, WrongMagicIsRejected) {
 }
 
 TEST(CheckpointAdversarial, FutureVersionIsRejected) {
-  std::vector<std::uint8_t> bytes = golden_checkpoint().bytes;
-  bytes[4] = static_cast<std::uint8_t>(Checkpoint::kVersion + 1);
-  expect_rejected(bytes, "version");
+  // A newer version, and v3: its async frame buffered a different record.
+  for (const std::uint32_t version : {Checkpoint::kVersion + 1, 3U}) {
+    std::vector<std::uint8_t> bytes = golden_checkpoint().bytes;
+    bytes[4] = static_cast<std::uint8_t>(version);
+    expect_rejected(bytes, "version " + std::to_string(version));
+  }
 }
 
 TEST(CheckpointAdversarial, PayloadBitFlipsFailTheChecksum) {
@@ -333,7 +336,9 @@ TEST_P(StrategyStateRoundTrip, CrossStrategyLoadIsRejected) {
   const std::unique_ptr<sched::SelectionStrategy> source =
       testing::make_resume_strategy(other);
   advance_strategy(*source, 3);
-  util::ByteReader reader(strategy_bytes(*source));
+  // The reader borrows its bytes, so they must outlive it.
+  const std::vector<std::uint8_t> frame = strategy_bytes(*source);
+  util::ByteReader reader(frame);
   EXPECT_THROW(target->load_state(reader), util::SerialError);
   EXPECT_EQ(strategy_bytes(*target), before);
 }

@@ -1,9 +1,9 @@
 // Golden digests of both round engines.
 //
-// The barrier engine (fl::FederatedTrainer, which AsyncOptions::Mode::kSync
-// also runs) and the event-driven engine (fl::AsyncTrainer in kAsync) share
-// their client execution, resume, checkpoint, evaluation and metrics steps
-// (fl/round_steps.h).  A differential test between two engines that share
+// The barrier engine (fl::FederatedTrainer, AsyncOptions::Mode::kSync) and
+// the event-driven engine (fl::AsyncTrainer, kAsync) share their client
+// execution, TDMA grant rule, resume, checkpoint, trace, evaluation and
+// metrics steps (fl/round_steps.h, mec/tdma.h).  A differential test between two engines that share
 // code compares that code with itself, so this test pins each engine to
 // constants instead: FNV-1a 64 of the final weights, the history CSV bytes
 // and the raw JSONL trace, over strategy x faults x threads.

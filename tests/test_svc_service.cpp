@@ -4,8 +4,11 @@
 // tolerance, and snapshot/restore semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/helcfl_scheduler.h"
@@ -361,4 +364,25 @@ TEST(SvcService, AutosnapshotWritesEveryNthDecision) {
   const auto rb = serve_round(recovered, 5, 4, 10);
   EXPECT_EQ(ra.selected, rb.selected);
   EXPECT_EQ(ra.frequencies_hz, rb.frequencies_hz);
+}
+
+TEST(SvcService, AutosnapshotExpandsEveryDecisionsToken) {
+  const auto users = make_users();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "svc_token_twice";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  svc::ServiceOptions options = small_options();
+  options.snapshot_every = 2;
+  options.snapshot_path = (dir / "d{decisions}_snap_{decisions}.bin").string();
+  svc::SchedulerService service(users, options);
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    serve_round(service, round + 1, round, round + 1);
+  }
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"d2_snap_2.bin", "d4_snap_4.bin"}));
 }

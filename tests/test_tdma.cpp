@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace helcfl::mec {
 namespace {
@@ -116,6 +120,40 @@ TEST(Tdma, TotalSlackSumsPerUserSlack) {
   for (const auto& slot : s.slots) expected += slot.slack_s;
   EXPECT_DOUBLE_EQ(s.total_slack_s, expected);
   EXPECT_GT(s.total_slack_s, 0.0);
+}
+
+TEST(Tdma, UplinkGrantReproducesScheduleSlotForSlot) {
+  // The async engine grants one compute completion at a time, in completion
+  // order; replaying a cohort that way must give schedule_uploads' slots
+  // bit for bit.  Quantized delays force ties and back-to-back waits.
+  util::Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    std::vector<double> compute(n);
+    std::vector<double> upload(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      compute[i] = 0.25 * static_cast<double>(rng.uniform_int(0, 15));
+      upload[i] = rng.uniform(0.1, 3.0);
+    }
+    const TdmaSchedule schedule = schedule_uploads(compute, upload);
+
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) { return compute[a] < compute[b]; });
+    Uplink uplink;
+    ASSERT_EQ(schedule.slots.size(), n);
+    for (std::size_t g = 0; g < n; ++g) {
+      const UploadSlot slot = uplink.grant(order[g], compute[order[g]], upload[order[g]]);
+      const UploadSlot& expected = schedule.slots[g];
+      EXPECT_EQ(slot.index, expected.index);
+      EXPECT_EQ(slot.compute_end, expected.compute_end);
+      EXPECT_EQ(slot.upload_start, expected.upload_start);
+      EXPECT_EQ(slot.upload_end, expected.upload_end);
+      EXPECT_EQ(slot.slack_s, expected.slack_s);
+    }
+    EXPECT_EQ(uplink.free_at, schedule.round_delay_s);
+  }
 }
 
 }  // namespace
