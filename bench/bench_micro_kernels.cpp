@@ -195,8 +195,6 @@ void BM_RoundForward(benchmark::State& state) {
   // pack-per-client alternative by dirtying the panels before each client,
   // so the delta between the two rows is the per-round packing amortization.
   const bool prepack = state.range(0) != 0;
-  const bool saved_prepack = tensor::weight_prepack_enabled();
-  tensor::set_weight_prepack(true);
   util::Rng rng(10);
   nn::Sequential model;
   model.emplace<nn::Dense>(256, 256, rng);
@@ -216,7 +214,6 @@ void BM_RoundForward(benchmark::State& state) {
   state.SetLabel(prepack ? "prepack" : "repack_per_client");
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kClients * kBatch));
-  tensor::set_weight_prepack(saved_prepack);
 }
 BENCHMARK(BM_RoundForward)->Arg(0)->Arg(1);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "core/utility.h"
 
@@ -68,9 +67,5 @@ void GreedyDecayReference::revoke_appearance(std::size_t user) {
 }
 
 void GreedyDecayReference::reset() { counters_.clear(); }
-
-void GreedyDecayReference::restore_appearance_counts(std::vector<std::size_t> counters) {
-  counters_ = std::move(counters);
-}
 
 }  // namespace helcfl::core

@@ -34,7 +34,6 @@ class GreedyDecayReference {
   std::span<const std::size_t> appearance_counts() const { return counters_; }
   void revoke_appearance(std::size_t user);
   void reset();
-  void restore_appearance_counts(std::vector<std::size_t> counters);
 
   double fraction() const { return fraction_; }
   double eta() const { return eta_; }

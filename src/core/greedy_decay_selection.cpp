@@ -78,11 +78,6 @@ void GreedyDecaySelector::reset() {
   index_.clear();
 }
 
-void GreedyDecaySelector::restore_appearance_counts(std::vector<std::size_t> counters) {
-  counters_ = std::move(counters);
-  index_.clear();
-}
-
 void GreedyDecaySelector::save_state(util::ByteWriter& out) const {
   out.vec_size(counters_);
   index_.save(out);

@@ -59,13 +59,6 @@ class GreedyDecaySelector {
   /// Clears all counters and the utility index (start of a fresh run).
   void reset();
 
-  /// Replaces the counters wholesale (checkpoint resume).  An empty vector
-  /// returns the selector to its pre-first-select() state; a non-empty one
-  /// pins the fleet size, so the next select() must see exactly
-  /// `counters.size()` users.  The utility index is dropped and rebuilt
-  /// lazily on the next select().
-  void restore_appearance_counts(std::vector<std::size_t> counters);
-
   /// Serializes the mutable state: the appearance counters followed by the
   /// index frame (initialized flag + delay cache).  Deterministic — a pure
   /// function of the logical state, independent of heap layout.

@@ -501,24 +501,21 @@ TrainingHistory AsyncTrainer::run() {
       // Staleness-discounted FedBuff step: each buffered arrival holds the
       // client's *delta* from its dispatch base, weighted by
       // num_samples / (1+s)^β, and the weighted mean delta is applied to the
-      // current model.  With β = 0 every discount is exactly 1.0 and
-      // fedavg_discounted degrades bitwise to the plain weighted mean.
-      std::vector<DiscountedModel> uploads;
+      // current model.  With β = 0 every discount is pow(x, 0) == 1.0
+      // exactly, which leaves fedavg's weights at the plain sample counts.
+      std::vector<WeightedModel> uploads;
       std::vector<double> losses;
       for (const AsyncDispatch& d : buffer) {
         const ClientUpdate& update = d.outcome.update;
         const double staleness = static_cast<double>(st.model_version - d.version);
-        const double discount =
-            async_.staleness_beta == 0.0
-                ? 1.0
-                : 1.0 / std::pow(1.0 + staleness, async_.staleness_beta);
+        const double discount = 1.0 / std::pow(1.0 + staleness, async_.staleness_beta);
         uploads.push_back({update.weights, update.num_samples, discount});
         aggregated.selected.push_back(d.user);
         aggregated.frequencies_hz.push_back(d.frequency_hz);
         losses.push_back(update.train_loss);
         train_loss_sum += update.train_loss;
       }
-      const std::vector<float> mean_delta = fedavg_discounted(uploads);
+      const std::vector<float> mean_delta = fedavg(uploads);
       for (std::size_t i = 0; i < run.global_weights.size(); ++i) {
         run.global_weights[i] += mean_delta[i];
       }
@@ -574,7 +571,7 @@ TrainingHistory AsyncTrainer::run() {
     record.wasted_energy_j = acc.step_wasted;
 
     const bool last_step = st.step + 1 >= options.max_rounds;
-    const detail::StepEnd end = run.close_step(std::move(record), arrivals, last_step);
+    run.close_step(std::move(record), arrivals, last_step);
     if (registry != nullptr) {
       registry->add("async.aggregations");
       if (flush) registry->add("async.flushes");
@@ -593,7 +590,7 @@ TrainingHistory AsyncTrainer::run() {
                     {"in_flight", st.in_flight.size()},
                     {"flush", flush}});
     }
-    stopping = run.should_stop(end, "step", st.step) || last_step;
+    stopping = run.should_stop("step") || last_step;
 
     st.buffer.clear();
     st.acc = StepAccum{};
@@ -620,8 +617,13 @@ TrainingHistory AsyncTrainer::run() {
   if (!resumed && options.max_rounds > 0) {
     st.queue.push(0.0, EventKind::kChurn, 0, /*tag=*/st.step);
   }
-  // A snapshot taken right after the last step resumes into a finished run.
+  // A snapshot taken right after the last step resumes into a finished run,
+  // and so does one taken where a stop check fired: the resolution that
+  // closed a step (nothing resolved since) wrote it before the loop ended.
   if (st.step >= options.max_rounds) stopping = true;
+  if (resumed && st.acc.resolved.selected.empty()) {
+    stopping = stopping || run.should_stop("step");
+  }
 
   while (!stopping) {
     if (st.queue.empty()) {

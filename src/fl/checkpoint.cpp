@@ -1,12 +1,15 @@
 #include "fl/checkpoint.h"
 
-#include "util/file_io.h"
-
 namespace helcfl::fl {
 
 namespace {
 
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8;
+void raise_checkpoint_error(const std::string& message) {
+  throw CheckpointError(message);
+}
+
+constexpr util::Envelope kEnvelope{Checkpoint::kMagic, Checkpoint::kVersion,
+                                   "checkpoint", &raise_checkpoint_error};
 
 // Smallest possible wire size of one RoundRecord: 16 fixed 8-byte fields
 // (u64/f64), two empty vec_size (8-byte count each), and two booleans.
@@ -61,163 +64,93 @@ RoundRecord read_record(util::ByteReader& in) {
   return r;
 }
 
-void write_rng_state(util::ByteWriter& out, const util::Rng::State& s) {
-  for (const std::uint64_t word : s.words) out.u64(word);
-  out.u64(s.seed);
-  out.f64(s.cached_normal);
-  out.boolean(s.has_cached_normal);
+std::vector<std::uint8_t> encode_payload(const Checkpoint& ckpt) {
+  util::ByteWriter payload;
+  payload.u64(ckpt.seed);
+  payload.u64(ckpt.n_users);
+  payload.u64(ckpt.next_round);
+  payload.f64(ckpt.cum_delay_s);
+  payload.f64(ckpt.cum_energy_j);
+  payload.f64(ckpt.cum_wasted_energy_j);
+  payload.f64(ckpt.best_accuracy);
+  payload.u64(ckpt.trace_seq);
+  payload.vec_f32(ckpt.global_weights);
+  payload.vec_f32(ckpt.model_state);
+  util::write_rng(payload, ckpt.batch_rng);
+  payload.str(ckpt.strategy_name);
+  payload.vec_u8(ckpt.strategy_state);
+  payload.vec_u8(ckpt.injector_state);
+  payload.vec_u8(ckpt.fading_state);
+  payload.boolean(ckpt.batteries_enabled);
+  payload.vec_u8(ckpt.battery_state);
+  payload.boolean(ckpt.async_enabled);
+  payload.vec_u8(ckpt.async_state);
+  payload.u64(ckpt.records.size());
+  for (const RoundRecord& record : ckpt.records) write_record(payload, record);
+  return payload.take();
 }
 
-util::Rng::State read_rng_state(util::ByteReader& in) {
-  util::Rng::State s;
-  for (auto& word : s.words) word = in.u64();
-  s.seed = in.u64();
-  s.cached_normal = in.f64();
-  s.has_cached_normal = in.boolean();
-  return s;
+Checkpoint decode_payload(util::ByteReader& payload) {
+  Checkpoint ckpt;
+  ckpt.seed = payload.u64();
+  ckpt.n_users = payload.u64();
+  ckpt.next_round = payload.u64();
+  ckpt.cum_delay_s = payload.f64();
+  ckpt.cum_energy_j = payload.f64();
+  ckpt.cum_wasted_energy_j = payload.f64();
+  ckpt.best_accuracy = payload.f64();
+  ckpt.trace_seq = payload.u64();
+  ckpt.global_weights = payload.vec_f32();
+  ckpt.model_state = payload.vec_f32();
+  ckpt.batch_rng = util::read_rng(payload);
+  ckpt.strategy_name = payload.str();
+  ckpt.strategy_state = payload.vec_u8();
+  ckpt.injector_state = payload.vec_u8();
+  ckpt.fading_state = payload.vec_u8();
+  ckpt.batteries_enabled = payload.boolean();
+  ckpt.battery_state = payload.vec_u8();
+  ckpt.async_enabled = payload.boolean();
+  ckpt.async_state = payload.vec_u8();
+  const std::uint64_t n_records = payload.u64();
+  // A checksum-valid but adversarial (or version-confused) file can still
+  // declare an absurd record count; bound it by what the remaining bytes
+  // could possibly encode before allocating anything.
+  if (n_records > payload.remaining() / kMinRecordBytes) {
+    throw CheckpointError(
+        "checkpoint declares " + std::to_string(n_records) +
+        " round records but only " + std::to_string(payload.remaining()) +
+        " payload byte(s) remain — corrupted or malformed");
+  }
+  ckpt.records.reserve(static_cast<std::size_t>(n_records));
+  for (std::uint64_t i = 0; i < n_records; ++i) {
+    ckpt.records.push_back(read_record(payload));
+  }
+  payload.expect_end("checkpoint payload");
+  return ckpt;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> Checkpoint::serialize() const {
-  util::ByteWriter payload;
-  payload.u64(seed);
-  payload.u64(n_users);
-  payload.u64(next_round);
-  payload.f64(cum_delay_s);
-  payload.f64(cum_energy_j);
-  payload.f64(cum_wasted_energy_j);
-  payload.f64(best_accuracy);
-  payload.u64(trace_seq);
-  payload.vec_f32(global_weights);
-  payload.vec_f32(model_state);
-  write_rng_state(payload, batch_rng);
-  payload.str(strategy_name);
-  payload.vec_u8(strategy_state);
-  payload.vec_u8(injector_state);
-  payload.vec_u8(fading_state);
-  payload.boolean(batteries_enabled);
-  payload.vec_u8(battery_state);
-  payload.boolean(async_enabled);
-  payload.vec_u8(async_state);
-  payload.u64(records.size());
-  for (const RoundRecord& record : records) write_record(payload, record);
-
-  util::ByteWriter file;
-  file.u32(kMagic);
-  file.u32(kVersion);
-  file.u64(payload.size());
-  file.u64(util::fnv1a64(payload.data()));
-  file.raw(payload.data());
-  return file.take();
+  return util::seal(kEnvelope, encode_payload(*this));
 }
 
 Checkpoint Checkpoint::deserialize(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kHeaderBytes) {
-    throw CheckpointError(
-        "checkpoint is truncated: " + std::to_string(bytes.size()) +
-        " bytes, shorter than the " + std::to_string(kHeaderBytes) +
-        "-byte header");
-  }
-  util::ByteReader header(bytes.subspan(0, kHeaderBytes));
-  const std::uint32_t magic = header.u32();
-  if (magic != kMagic) {
-    throw CheckpointError(
-        "not a HELCFL checkpoint: bad magic (expected \"HCKP\")");
-  }
-  const std::uint32_t version = header.u32();
-  if (version != kVersion) {
-    throw CheckpointError(
-        "checkpoint version " + std::to_string(version) +
-        " is not supported by this build (expected version " +
-        std::to_string(kVersion) +
-        "); it was probably written by a newer release");
-  }
-  const std::uint64_t payload_size = header.u64();
-  const std::uint64_t checksum = header.u64();
-  const std::span<const std::uint8_t> rest = bytes.subspan(kHeaderBytes);
-  if (payload_size > rest.size()) {
-    throw CheckpointError(
-        "checkpoint is truncated: header declares a " +
-        std::to_string(payload_size) + "-byte payload but only " +
-        std::to_string(rest.size()) + " bytes follow");
-  }
-  if (payload_size < rest.size()) {
-    throw CheckpointError(
-        "checkpoint has " + std::to_string(rest.size() - payload_size) +
-        " trailing byte(s) after the declared payload");
-  }
-  if (util::fnv1a64(rest) != checksum) {
-    throw CheckpointError(
-        "checkpoint payload checksum mismatch: the file is corrupted");
-  }
-
-  try {
-    util::ByteReader payload(rest);
-    Checkpoint ckpt;
-    ckpt.seed = payload.u64();
-    ckpt.n_users = payload.u64();
-    ckpt.next_round = payload.u64();
-    ckpt.cum_delay_s = payload.f64();
-    ckpt.cum_energy_j = payload.f64();
-    ckpt.cum_wasted_energy_j = payload.f64();
-    ckpt.best_accuracy = payload.f64();
-    ckpt.trace_seq = payload.u64();
-    ckpt.global_weights = payload.vec_f32();
-    ckpt.model_state = payload.vec_f32();
-    ckpt.batch_rng = read_rng_state(payload);
-    ckpt.strategy_name = payload.str();
-    ckpt.strategy_state = payload.vec_u8();
-    ckpt.injector_state = payload.vec_u8();
-    ckpt.fading_state = payload.vec_u8();
-    ckpt.batteries_enabled = payload.boolean();
-    ckpt.battery_state = payload.vec_u8();
-    ckpt.async_enabled = payload.boolean();
-    ckpt.async_state = payload.vec_u8();
-    const std::uint64_t n_records = payload.u64();
-    // A checksum-valid but adversarial (or version-confused) file can still
-    // declare an absurd record count; bound it by what the remaining bytes
-    // could possibly encode before allocating anything.
-    if (n_records > payload.remaining() / kMinRecordBytes) {
-      throw CheckpointError(
-          "checkpoint declares " + std::to_string(n_records) +
-          " round records but only " + std::to_string(payload.remaining()) +
-          " payload byte(s) remain — corrupted or malformed");
-    }
-    ckpt.records.reserve(static_cast<std::size_t>(n_records));
-    for (std::uint64_t i = 0; i < n_records; ++i) {
-      ckpt.records.push_back(read_record(payload));
-    }
-    payload.expect_end("checkpoint payload");
-    return ckpt;
-  } catch (const util::SerialError& error) {
-    // The checksum passed, so this is a layout (not corruption) problem —
-    // most likely a hand-built or version-confused file.
-    throw CheckpointError(std::string("checkpoint payload is malformed: ") +
-                          error.what());
-  }
+  Checkpoint ckpt;
+  util::unseal(kEnvelope, bytes,
+               [&](util::ByteReader& payload) { ckpt = decode_payload(payload); });
+  return ckpt;
 }
 
 void Checkpoint::write_file(const std::string& path) const {
-  try {
-    util::write_file_atomic(path, serialize());
-  } catch (const std::runtime_error& error) {
-    throw CheckpointError(std::string("checkpoint: ") + error.what());
-  }
+  util::write_sealed(kEnvelope, path, encode_payload(*this));
 }
 
 Checkpoint Checkpoint::read_file(const std::string& path) {
-  std::vector<std::uint8_t> bytes;
-  try {
-    bytes = util::read_file_bytes(path);
-  } catch (const std::runtime_error& error) {
-    throw CheckpointError(std::string("checkpoint: ") + error.what());
-  }
-  try {
-    return deserialize(bytes);
-  } catch (const CheckpointError& error) {
-    throw CheckpointError("'" + path + "': " + error.what());
-  }
+  Checkpoint ckpt;
+  util::read_sealed(kEnvelope, path,
+                    [&](util::ByteReader& payload) { ckpt = decode_payload(payload); });
+  return ckpt;
 }
 
 }  // namespace helcfl::fl

@@ -9,17 +9,11 @@
 // — or is a sequential cursor captured here: the churn and fading RNGs, the
 // strategy's own stream and counters, and the battery charge.
 //
-// File layout (all little-endian):
-//
-//   u32 magic "HCKP"  | u32 version | u64 payload_size | u64 fnv1a64(payload)
-//   payload_size bytes of payload
-//
-// The checksum covers the payload only, so a corrupted header field and a
-// corrupted payload are reported as distinct errors.  Readers accept only
-// version == kVersion; a newer file is rejected with a clear message rather
-// than misparsed (bump kVersion on any payload layout change and state the
-// change in docs/CHECKPOINT.md, mirroring the trace-schema policy of
-// docs/OBSERVABILITY.md).
+// File layout: the payload sealed in util::Envelope (util/serial.h, shared
+// with the scheduler service's snapshots) under magic "HCKP".  Readers
+// accept only version == kVersion; bump it on any payload layout change and
+// state the change in docs/CHECKPOINT.md, mirroring the trace-schema policy
+// of docs/OBSERVABILITY.md.
 //
 // What is deliberately NOT stored: client optimizer slots (local momentum
 // state is round-scoped — fl/client.h rebuilds it per local update, so
@@ -85,7 +79,7 @@ struct Checkpoint {
   std::vector<float> model_state;     ///< persistent buffers (empty if none)
 
   // --- stream cursors and component state ---
-  util::Rng::State batch_rng;              ///< mini-batch fork parent
+  util::Rng batch_rng;                     ///< mini-batch fork parent
   std::string strategy_name;               ///< for error messages
   std::vector<std::uint8_t> strategy_state;  ///< SelectionStrategy::save_state frame
   std::vector<std::uint8_t> injector_state;  ///< FaultInjector::save_state
@@ -109,8 +103,9 @@ struct Checkpoint {
   /// Full file image: header + checksummed payload.
   std::vector<std::uint8_t> serialize() const;
 
-  /// Parses a file image.  Throws CheckpointError on bad magic, newer
-  /// version, truncation, checksum mismatch, or trailing bytes.
+  /// Parses a file image.  Throws CheckpointError on any rejection of
+  /// util::unseal (truncation, bad magic, foreign version, trailing bytes,
+  /// checksum mismatch) or a malformed payload.
   static Checkpoint deserialize(std::span<const std::uint8_t> bytes);
 
   /// Atomic write: serializes to `path` + ".tmp" then renames over `path`,

@@ -13,7 +13,6 @@
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "tensor/ops.h"
-#include "util/file_io.h"
 #include "util/log.h"
 #include "util/serial.h"
 
@@ -171,7 +170,7 @@ std::optional<Checkpoint> RunState::resume(
     util::ByteReader fading_in(ckpt.fading_state);
     fading.load_state(fading_in);
     fading_in.expect_end("checkpoint fading state");
-    batch_rng.set_state(ckpt.batch_rng);
+    batch_rng = ckpt.batch_rng;
     // ...then the durable battery state parsed into a copy...
     if (batteries_enabled) {
       restored_batteries = world.batteries;
@@ -237,7 +236,7 @@ Checkpoint RunState::snapshot(std::uint64_t next_round, double cum_delay) const 
   ckpt.trace_seq = tracer != nullptr ? tracer->event_count() : 0;
   ckpt.global_weights = global_weights;
   if (has_state) ckpt.model_state = nn::extract_state(world.model);
-  ckpt.batch_rng = batch_rng.state();
+  ckpt.batch_rng = batch_rng;
   ckpt.strategy_name = world.strategy.name();
   const auto frame = [](const auto& component) {
     util::ByteWriter writer;
@@ -459,11 +458,10 @@ void RunState::skip_round(std::size_t round, double cum_delay, std::size_t avail
   }
 }
 
-StepEnd RunState::close_step(RoundRecord record, std::size_t trained, bool last) {
+void RunState::close_step(RoundRecord record, std::size_t trained, bool last) {
   const TrainerOptions& options = world.options;
-  StepEnd end;
-  end.over_deadline = record.cum_delay_s > options.deadline_s;
-  if (record.round % options.eval_every == 0 || last || end.over_deadline) {
+  if (record.round % options.eval_every == 0 || last ||
+      record.cum_delay_s > options.deadline_s) {
     obs::ScopedSpan eval_span(profiler, "evaluation", static_cast<std::int64_t>(record.round));
     Evaluation eval;
     if (pool.worker_count() == 0) {
@@ -482,9 +480,6 @@ StepEnd RunState::close_step(RoundRecord record, std::size_t trained, bool last)
     // checkpointed, and observation must not change checkpoint bytes.
     best_accuracy = std::max(best_accuracy, record.test_accuracy);
   }
-  end.target_reached = record.evaluated && options.target_accuracy >= 0.0 &&
-                       record.test_accuracy >= options.target_accuracy;
-
   cum_wasted_energy += record.wasted_energy_j;
   if (registry != nullptr) {
     registry->add("rounds.completed");
@@ -531,27 +526,31 @@ StepEnd RunState::close_step(RoundRecord record, std::size_t trained, bool last)
     tracer->emit(obs::TraceLevel::kRound, "round_end", fields);
   }
   history.add(std::move(record));
-  return end;
 }
 
-bool RunState::should_stop(const StepEnd& end, std::string_view unit,
-                           std::size_t index) const {
-  const std::string after = std::string(unit) + " " + std::to_string(index);
-  if (end.over_deadline) {
+bool RunState::should_stop(std::string_view unit) const {
+  const TrainerOptions& options = world.options;
+  const std::vector<RoundRecord>& rounds = history.rounds();
+  if (rounds.empty()) return false;
+  const RoundRecord& last = rounds.back();
+  const std::string after = std::string(unit) + " " + std::to_string(last.round);
+  if (last.cum_delay_s > options.deadline_s) {
     util::log_info(std::string(world.engine) + ": deadline reached after " + after);
     return true;
   }
-  if (end.target_reached) return true;
-  const std::size_t window = world.options.convergence_window;
-  if (window < 2 || history.size() < window) return false;
-  const std::vector<RoundRecord>& rounds = history.rounds();
-  double lo = rounds.back().train_loss;
+  if (last.evaluated && options.target_accuracy >= 0.0 &&
+      last.test_accuracy >= options.target_accuracy) {
+    return true;
+  }
+  const std::size_t window = options.convergence_window;
+  if (window < 2 || rounds.size() < window) return false;
+  double lo = last.train_loss;
   double hi = lo;
   for (std::size_t k = 2; k <= window; ++k) {
     lo = std::min(lo, rounds[rounds.size() - k].train_loss);
     hi = std::max(hi, rounds[rounds.size() - k].train_loss);
   }
-  if (hi - lo < world.options.convergence_epsilon) {
+  if (hi - lo < options.convergence_epsilon) {
     util::log_info(std::string(world.engine) + ": converged after " + after);
     return true;
   }

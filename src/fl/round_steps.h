@@ -89,12 +89,6 @@ struct ClientOutcome {
   std::vector<float> state;        ///< post-training persistent buffers
 };
 
-/// How close_step() ended a round or step.
-struct StepEnd {
-  bool over_deadline = false;
-  bool target_reached = false;
-};
-
 /// The per-run scaffold both engines build at the top of run(): the
 /// instruments, the mini-batch / fading / fault streams (forked off the
 /// seed, so every run() starts from the same cursors), the worker pool with
@@ -206,12 +200,16 @@ struct RunState {
   /// deadline), keeps the running best accuracy, exports the step's
   /// counters when a registry is attached, emits round_end, and appends the
   /// record.  `trained` counts the local updates that finished this step.
-  StepEnd close_step(RoundRecord record, std::size_t trained, bool last);
+  void close_step(RoundRecord record, std::size_t trained, bool last);
 
-  /// True when the run stops after `index`: deadline passed, target
-  /// reached, or Algorithm 1's convergence exit (the training-loss spread
-  /// over the last convergence_window records fell below epsilon).
-  bool should_stop(const StepEnd& end, std::string_view unit, std::size_t index) const;
+  /// True when the run stops after the last record of the history: deadline
+  /// passed, target reached, or Algorithm 1's convergence exit (the
+  /// training-loss spread over the last convergence_window records fell
+  /// below epsilon).  `unit` ("round", "step") labels the log line.  A
+  /// resumed run asks it again of the restored history wherever the run
+  /// that wrote the snapshot asked it after that record, so a run that
+  /// stopped there resumes into a finished run.
+  bool should_stop(std::string_view unit) const;
 
   /// Emits run_end, flushes the tracer, leaves the final global model loaded
   /// in the borrowed model, and hands back the history.

@@ -12,36 +12,23 @@
 
 namespace helcfl::fl {
 
-/// One uploaded model with its FedAvg weight |D_q|.
+/// One uploaded model with its FedAvg weight |D_q| * discount.
 struct WeightedModel {
   std::span<const float> weights;
   std::size_t num_samples = 0;
+  /// Per-upload factor in [0, 1]: 1 for Eq. (18); FedBuff's staleness
+  /// discount 1 / (1 + staleness)^β for a buffered async update
+  /// (docs/ASYNC.md).  n * 1.0 == n, so a discount of 1 changes no bit.
+  double discount = 1.0;
 };
 
-/// FedAvg (Eq. 18): sample-count-weighted average of the uploaded models.
-/// All weight vectors must have equal length and the total sample count
-/// must be positive.
+/// FedAvg (Eq. 18): the weighted mean of the uploaded models, each weighing
+/// num_samples * discount.  All weight vectors must have equal length, every
+/// discount must be finite and non-negative, and the total weight must be
+/// positive: a buffer whose every entry was discounted or sampled to zero
+/// defines no average (the division-by-zero guard the zero-survivor
+/// property tests exercise).
 std::vector<float> fedavg(std::span<const WeightedModel> uploads);
-
-/// One buffered async arrival entering a staleness-discounted aggregation
-/// (docs/ASYNC.md): the model a client trained `staleness` server steps ago,
-/// weighed down by `discount` = 1 / (1 + staleness)^β.
-struct DiscountedModel {
-  std::span<const float> weights;
-  std::size_t num_samples = 0;
-  double discount = 1.0;  ///< in (0, 1]; 1 = a perfectly fresh update
-};
-
-/// FedBuff-style staleness-discounted FedAvg: each upload weighs
-/// num_samples * discount.  With every discount == 1 the arithmetic
-/// degenerates bitwise to fedavg() (identical doubles in identical order),
-/// which is what makes the async engine's β = 0 step plain FedAvg over the
-/// buffered deltas.  All weight vectors must
-/// have equal length, every discount must be finite and non-negative, and
-/// the *total* discounted weight must be positive: a buffer whose every
-/// entry has been discounted to zero cannot define an average (the
-/// division-by-zero guard the zero-survivor property tests exercise).
-std::vector<float> fedavg_discounted(std::span<const DiscountedModel> uploads);
 
 /// Evaluation result of a model on a dataset.
 struct Evaluation {

@@ -102,9 +102,14 @@ TrainingHistory FederatedTrainer::run() {
   // trainer exactly as it was, and a subsequent run() behaves as if the
   // resume was never attempted.
   std::size_t start_round = 0;
+  bool stopped = false;
   if (const std::optional<Checkpoint> ckpt = run.resume(/*async_engine=*/false)) {
     cum_delay = ckpt->cum_delay_s;
     start_round = static_cast<std::size_t>(ckpt->next_round);
+    // The snapshot was written before the stop check of its last round; a
+    // churn-skipped round (nothing selected) had no check.
+    stopped = !ckpt->records.empty() && !ckpt->records.back().selected.empty() &&
+              run.should_stop("round");
   }
   run.emit_run_start();
   if (start_round > 0) run.emit_resumed(start_round, cum_delay);
@@ -122,7 +127,7 @@ TrainingHistory FederatedTrainer::run() {
     run.write_checkpoint(run.snapshot(completed, cum_delay), completed, round);
   };
 
-  for (std::size_t round = start_round; round < options.max_rounds; ++round) {
+  for (std::size_t round = start_round; !stopped && round < options.max_rounds; ++round) {
     if (batteries_enabled && batteries.alive_count() == 0) {
       util::log_info("FederatedTrainer: whole fleet depleted after round " +
                      std::to_string(round));
@@ -330,10 +335,9 @@ TrainingHistory FederatedTrainer::run() {
     record.survivors = record.aggregated.size();
     record.quorum_failed = !quorum_met;
 
-    const detail::StepEnd end =
-        run.close_step(std::move(record), trained_count, round + 1 == options.max_rounds);
+    run.close_step(std::move(record), trained_count, round + 1 == options.max_rounds);
     maybe_write_checkpoint(round);
-    if (run.should_stop(end, "round", round)) break;
+    if (run.should_stop("round")) break;
   }
 
   return run.finish(cum_delay);

@@ -165,9 +165,8 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
   float* out = output.data().data();
   // The weight acts as the [out_ch, ckk] left operand of every sample's
   // GEMM; pack its panels once per weight mutation instead of per sample.
-  // Packed and unpacked paths produce identical bits (ops.h).
-  const bool prepack = tensor::weight_prepack_enabled();
-  if (prepack && !packed_.is_a(out_channels_, ckk)) {
+  // The product is bitwise the span-operand gemm_bias_rows (ops.h).
+  if (!packed_.is_a(out_channels_, ckk)) {
     packed_.pack_a(out_channels_, ckk, weight_.data());
   }
   // Per sample: out[n] = W[out_ch, ckk] * col[ckk, hw] + bias (fused).
@@ -177,13 +176,8 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
     const std::span<const float> col_n(col_.data(), ckk * hw);
     const std::span<float> out_n(out + n * out_channels_ * hw,
                                  out_channels_ * hw);
-    if (prepack) {
-      tensor::gemm_bias_rows(out_channels_, ckk, hw, packed_, col_n,
-                             bias_.data(), out_n);
-    } else {
-      tensor::gemm_bias_rows(out_channels_, ckk, hw, weight_.data(), col_n,
-                             bias_.data(), out_n);
-    }
+    tensor::gemm_bias_rows(out_channels_, ckk, hw, packed_, col_n, bias_.data(),
+                           out_n);
   }
   if (training) cached_input_ = input;
   return output;

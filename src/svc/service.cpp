@@ -6,13 +6,17 @@
 
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "util/file_io.h"
+#include "util/serial.h"
 
 namespace helcfl::svc {
 
 namespace {
 
-constexpr std::size_t kSnapshotHeaderBytes = 4 + 4 + 8 + 8;
+void raise_service_error(const std::string& message) { throw ServiceError(message); }
+
+constexpr util::Envelope kSnapshotEnvelope{SchedulerService::kSnapshotMagic,
+                                           SchedulerService::kSnapshotVersion,
+                                           "service snapshot", &raise_service_error};
 
 core::HelcflOptions scheduler_options(const ServiceOptions& options) {
   core::HelcflOptions helcfl;
@@ -342,6 +346,10 @@ std::vector<std::vector<std::uint8_t>> SchedulerService::take_outbox() {
 }
 
 std::vector<std::uint8_t> SchedulerService::snapshot() const {
+  return util::seal(kSnapshotEnvelope, snapshot_payload());
+}
+
+std::vector<std::uint8_t> SchedulerService::snapshot_payload() const {
   util::ByteWriter payload;
   // Configuration echo — restore() onto a differently-configured service
   // must fail loudly, mirroring the checkpoint's identity fields.
@@ -387,172 +395,114 @@ std::vector<std::uint8_t> SchedulerService::snapshot() const {
     payload.u64(pending_request_->round);
   }
 
-  util::ByteWriter file;
-  file.u32(kSnapshotMagic);
-  file.u32(kSnapshotVersion);
-  file.u64(payload.size());
-  file.u64(util::fnv1a64(payload.data()));
-  file.raw(payload.data());
-  return file.take();
+  return payload.take();
 }
 
 void SchedulerService::restore(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < kSnapshotHeaderBytes) {
-    throw ServiceError("service snapshot is truncated: " +
-                       std::to_string(bytes.size()) +
-                       " bytes, shorter than the " +
-                       std::to_string(kSnapshotHeaderBytes) + "-byte header");
-  }
-  util::ByteReader header(bytes.subspan(0, kSnapshotHeaderBytes));
-  if (header.u32() != kSnapshotMagic) {
-    throw ServiceError("not a scheduler-service snapshot: bad magic "
-                       "(expected \"HSVS\")");
-  }
-  const std::uint32_t version = header.u32();
-  if (version != kSnapshotVersion) {
-    throw ServiceError("service snapshot version " + std::to_string(version) +
-                       " is not supported by this build (expected version " +
-                       std::to_string(kSnapshotVersion) + ")");
-  }
-  const std::uint64_t payload_size = header.u64();
-  const std::uint64_t checksum = header.u64();
-  const std::span<const std::uint8_t> rest = bytes.subspan(kSnapshotHeaderBytes);
-  if (payload_size > rest.size()) {
-    throw ServiceError("service snapshot is truncated: header declares a " +
-                       std::to_string(payload_size) +
-                       "-byte payload but only " + std::to_string(rest.size()) +
-                       " bytes follow");
-  }
-  if (payload_size < rest.size()) {
-    throw ServiceError("service snapshot has " +
-                       std::to_string(rest.size() - payload_size) +
-                       " trailing byte(s) after the declared payload");
-  }
-  if (util::fnv1a64(rest) != checksum) {
+  util::unseal(kSnapshotEnvelope, bytes,
+               [this](util::ByteReader& payload) { restore_payload(payload); });
+}
+
+void SchedulerService::restore_payload(util::ByteReader& payload) {
+  const std::uint64_t n_devices = payload.u64();
+  const double fraction = payload.f64();
+  const double eta = payload.f64();
+  const bool enable_dvfs = payload.boolean();
+  const std::uint64_t lease_ticks = payload.u64();
+  const std::uint64_t queue_capacity = payload.u64();
+  if (n_devices != users_.size() || fraction != options_.fraction ||
+      eta != options_.eta || enable_dvfs != options_.enable_dvfs ||
+      lease_ticks != options_.lease_ticks ||
+      queue_capacity != options_.queue_capacity) {
     throw ServiceError(
-        "service snapshot payload checksum mismatch: the file is corrupted");
+        "service snapshot was taken under a different configuration "
+        "(fleet size or options mismatch)");
   }
 
-  try {
-    util::ByteReader payload(rest);
-
-    const std::uint64_t n_devices = payload.u64();
-    const double fraction = payload.f64();
-    const double eta = payload.f64();
-    const bool enable_dvfs = payload.boolean();
-    const std::uint64_t lease_ticks = payload.u64();
-    const std::uint64_t queue_capacity = payload.u64();
-    if (n_devices != users_.size() || fraction != options_.fraction ||
-        eta != options_.eta || enable_dvfs != options_.enable_dvfs ||
-        lease_ticks != options_.lease_ticks ||
-        queue_capacity != options_.queue_capacity) {
-      throw ServiceError(
-          "service snapshot was taken under a different configuration "
-          "(fleet size or options mismatch)");
-    }
-
-    const std::uint64_t now_tick = payload.u64();
-    std::vector<double> t_cal = payload.vec_f64();
-    std::vector<double> t_com = payload.vec_f64();
-    std::vector<std::uint8_t> alive = payload.vec_u8();
-    std::vector<std::uint64_t> lease_expiry = payload.vec_u64();
-    std::vector<std::uint64_t> last_seq = payload.vec_u64();
-    if (t_cal.size() != users_.size() || t_com.size() != users_.size() ||
-        alive.size() != users_.size() ||
-        lease_expiry.size() != users_.size() ||
-        last_seq.size() != users_.size()) {
-      throw ServiceError(
-          "service snapshot per-device state does not match the fleet size");
-    }
-    for (std::size_t i = 0; i < users_.size(); ++i) {
-      if (!valid_delay(t_cal[i]) || !valid_delay(t_com[i])) {
-        throw ServiceError("service snapshot holds a non-positive delay for "
-                           "device " + std::to_string(i));
-      }
-      if (alive[i] > 1) {
-        throw ServiceError("service snapshot alive mask is not 0/1");
-      }
-    }
-
-    std::vector<std::uint8_t> strategy_bytes = payload.vec_u8();
-
-    const std::uint64_t last_controller_seq = payload.u64();
-    std::vector<std::uint8_t> cached_response = payload.vec_u8();
-    const bool degraded = payload.boolean();
-
-    const std::uint64_t queue_size = payload.u64();
-    if (queue_size > queue_capacity) {
-      throw ServiceError("service snapshot queue (" +
-                         std::to_string(queue_size) +
-                         " reports) exceeds queue_capacity (" +
-                         std::to_string(queue_capacity) + ")");
-    }
-    std::deque<DeviceReport> queue;
-    for (std::uint64_t i = 0; i < queue_size; ++i) {
-      const DeviceReport r = read_report(payload);
-      if (r.device_id >= users_.size() || !valid_delay(r.t_cal_max_s) ||
-          !valid_delay(r.t_com_s) || r.report_seq == 0) {
-        throw ServiceError("service snapshot holds an invalid queued report");
-      }
-      queue.push_back(r);
-    }
-    std::optional<DecisionRequest> pending;
-    if (payload.boolean()) {
-      DecisionRequest request;
-      request.controller_seq = payload.u64();
-      request.round = payload.u64();
-      pending = request;
-    }
-    payload.expect_end("service snapshot payload");
-
-    // Everything parsed and validated.  The strategy restore is itself
-    // parse-then-commit, so running it first keeps the whole restore
-    // atomic: if it throws, no member has changed yet.
-    util::ByteReader strategy(strategy_bytes);
-    scheduler_.load_state(strategy);
-    strategy.expect_end("service snapshot strategy frame");
-
-    now_tick_ = now_tick;
-    for (std::size_t i = 0; i < users_.size(); ++i) {
-      users_[i].t_cal_max_s = t_cal[i];
-      users_[i].t_com_s = t_com[i];
-    }
-    alive_ = std::move(alive);
-    lease_expiry_tick_ = std::move(lease_expiry);
-    last_report_seq_ = std::move(last_seq);
-    last_controller_seq_ = last_controller_seq;
-    cached_response_ = std::move(cached_response);
-    degraded_ = degraded;
-    report_queue_ = std::move(queue);
-    pending_request_ = pending;
-    outbox_.clear();
-  } catch (const util::SerialError& error) {
-    // The checksum passed, so this is a layout (not corruption) problem.
-    throw ServiceError(std::string("service snapshot payload is malformed: ") +
-                       error.what());
+  const std::uint64_t now_tick = payload.u64();
+  std::vector<double> t_cal = payload.vec_f64();
+  std::vector<double> t_com = payload.vec_f64();
+  std::vector<std::uint8_t> alive = payload.vec_u8();
+  std::vector<std::uint64_t> lease_expiry = payload.vec_u64();
+  std::vector<std::uint64_t> last_seq = payload.vec_u64();
+  if (t_cal.size() != users_.size() || t_com.size() != users_.size() ||
+      alive.size() != users_.size() ||
+      lease_expiry.size() != users_.size() ||
+      last_seq.size() != users_.size()) {
+    throw ServiceError(
+        "service snapshot per-device state does not match the fleet size");
   }
+  for (std::size_t i = 0; i < users_.size(); ++i) {
+    if (!valid_delay(t_cal[i]) || !valid_delay(t_com[i])) {
+      throw ServiceError("service snapshot holds a non-positive delay for "
+                         "device " + std::to_string(i));
+    }
+    if (alive[i] > 1) {
+      throw ServiceError("service snapshot alive mask is not 0/1");
+    }
+  }
+
+  std::vector<std::uint8_t> strategy_bytes = payload.vec_u8();
+
+  const std::uint64_t last_controller_seq = payload.u64();
+  std::vector<std::uint8_t> cached_response = payload.vec_u8();
+  const bool degraded = payload.boolean();
+
+  const std::uint64_t queue_size = payload.u64();
+  if (queue_size > queue_capacity) {
+    throw ServiceError("service snapshot queue (" +
+                       std::to_string(queue_size) +
+                       " reports) exceeds queue_capacity (" +
+                       std::to_string(queue_capacity) + ")");
+  }
+  std::deque<DeviceReport> queue;
+  for (std::uint64_t i = 0; i < queue_size; ++i) {
+    const DeviceReport r = read_report(payload);
+    if (r.device_id >= users_.size() || !valid_delay(r.t_cal_max_s) ||
+        !valid_delay(r.t_com_s) || r.report_seq == 0) {
+      throw ServiceError("service snapshot holds an invalid queued report");
+    }
+    queue.push_back(r);
+  }
+  std::optional<DecisionRequest> pending;
+  if (payload.boolean()) {
+    DecisionRequest request;
+    request.controller_seq = payload.u64();
+    request.round = payload.u64();
+    pending = request;
+  }
+  payload.expect_end("service snapshot payload");
+
+  // Everything parsed and validated.  The strategy restore is itself
+  // parse-then-commit, so running it first keeps the whole restore
+  // atomic: if it throws, no member has changed yet.
+  util::ByteReader strategy(strategy_bytes);
+  scheduler_.load_state(strategy);
+  strategy.expect_end("service snapshot strategy frame");
+
+  now_tick_ = now_tick;
+  for (std::size_t i = 0; i < users_.size(); ++i) {
+    users_[i].t_cal_max_s = t_cal[i];
+    users_[i].t_com_s = t_com[i];
+  }
+  alive_ = std::move(alive);
+  lease_expiry_tick_ = std::move(lease_expiry);
+  last_report_seq_ = std::move(last_seq);
+  last_controller_seq_ = last_controller_seq;
+  cached_response_ = std::move(cached_response);
+  degraded_ = degraded;
+  report_queue_ = std::move(queue);
+  pending_request_ = pending;
+  outbox_.clear();
 }
 
 void SchedulerService::write_snapshot(const std::string& path) const {
-  try {
-    util::write_file_atomic(path, snapshot());
-  } catch (const std::runtime_error& error) {
-    throw ServiceError(std::string("service snapshot: ") + error.what());
-  }
+  util::write_sealed(kSnapshotEnvelope, path, snapshot_payload());
 }
 
 void SchedulerService::restore_file(const std::string& path) {
-  std::vector<std::uint8_t> bytes;
-  try {
-    bytes = util::read_file_bytes(path);
-  } catch (const std::runtime_error& error) {
-    throw ServiceError(std::string("service snapshot: ") + error.what());
-  }
-  try {
-    restore(bytes);
-  } catch (const ServiceError& error) {
-    throw ServiceError("'" + path + "': " + error.what());
-  }
+  util::read_sealed(kSnapshotEnvelope, path,
+                    [this](util::ByteReader& payload) { restore_payload(payload); });
 }
 
 }  // namespace helcfl::svc

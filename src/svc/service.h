@@ -27,9 +27,10 @@
 //     a decision sees a clean queue;
 //   * crash recovery — snapshot()/restore() capture the complete decision-
 //     relevant state (selector counters + utility-index frame, per-device
-//     dynamic state, dedup cursors, queued work) in the checkpoint header
-//     discipline (magic/version/length/fnv1a); a restored service issues
-//     byte-identical responses to one that never crashed.
+//     dynamic state, dedup cursors, queued work) sealed in the snapshot
+//     envelope fl::Checkpoint also uses (util::Envelope: magic, version,
+//     size, fnv1a); a restored service issues byte-identical responses to
+//     one that never crashed.
 #pragma once
 
 #include <cstddef>
@@ -139,8 +140,8 @@ class SchedulerService {
 
   // --- crash recovery ----------------------------------------------------
 
-  /// Complete state snapshot as a checksummed file image
-  /// (magic "HSVS" | version | u64 size | u64 fnv1a | payload).
+  /// Complete state snapshot as a checksummed file image: the payload in
+  /// util::Envelope (magic "HSVS" | version | u64 size | u64 fnv1a | payload).
   std::vector<std::uint8_t> snapshot() const;
 
   /// Restores a snapshot() image onto an identically-constructed service
@@ -153,7 +154,7 @@ class SchedulerService {
   /// snapshot() to `path` atomically (tmp + rename).
   void write_snapshot(const std::string& path) const;
 
-  /// restore() from `path`.
+  /// restore() from `path`; a rejection's message names the path.
   void restore_file(const std::string& path);
 
   // --- introspection -----------------------------------------------------
@@ -177,6 +178,10 @@ class SchedulerService {
   void emit(const Frame& frame);
   void count(std::string_view name, std::uint64_t delta = 1);
   void maybe_autosnapshot();
+  std::vector<std::uint8_t> snapshot_payload() const;
+  /// restore() past the envelope: parses and validates every field, then
+  /// commits; a rejection leaves the service unchanged.
+  void restore_payload(util::ByteReader& payload);
 
   ServiceOptions options_;
   obs::Instruments instruments_;

@@ -1,8 +1,6 @@
 #include "tensor/ops.h"
 
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "tensor/gemm_kernel.h"
@@ -163,21 +161,6 @@ void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
                         .bias = bias.data(), .bias_per_col = true,
                         .packed_b = b.panels()};
   detail::run_gemm(args);
-}
-
-namespace {
-std::atomic<bool> g_weight_prepack{[] {
-  const char* env = std::getenv("HELCFL_PREPACK");
-  return !(env != nullptr && env[0] == '0');
-}()};
-}  // namespace
-
-void set_weight_prepack(bool enabled) {
-  g_weight_prepack.store(enabled, std::memory_order_relaxed);
-}
-
-bool weight_prepack_enabled() {
-  return g_weight_prepack.load(std::memory_order_relaxed);
 }
 
 void set_kernel_threads(std::size_t n) { detail::set_kernel_threads(n); }

@@ -145,14 +145,6 @@ void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
                          std::span<const float> a, const PackedWeights& b,
                          std::span<const float> bias, std::span<float> c);
 
-/// Process-wide switch for the layer-level weight-prepacking path (Dense /
-/// Conv2D forwards).  Defaults to on; HELCFL_PREPACK=0 in the environment
-/// starts it off.  Exists for A/B benchmarking and packed-vs-unpacked
-/// differential tests — flip it only from a single thread between
-/// computations.
-void set_weight_prepack(bool enabled);
-bool weight_prepack_enabled();
-
 /// Sets the GEMM worker count: 1 (default) keeps every product on the
 /// calling thread, 0 resolves to hardware_concurrency, n >= 2 shards large
 /// products' output rows across a dedicated n-thread kernel pool.  Bitwise

@@ -1,7 +1,10 @@
 #include "util/serial.h"
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <type_traits>
 
 #include "util/rng.h"
@@ -25,6 +28,48 @@ void append_le(std::vector<std::uint8_t>& buffer, T value) {
   throw SerialError("ByteReader: read of " + std::to_string(need) +
                     " byte(s) at offset " + std::to_string(offset) +
                     " past end of " + std::to_string(size) + "-byte buffer");
+}
+
+constexpr std::size_t kEnvelopeHeaderBytes = 4 + 4 + 8 + 8;
+
+void write_file_atomic(const std::string& path,
+                       std::span<const std::uint8_t> bytes) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      throw std::runtime_error("cannot open '" + tmp + "' for writing");
+    }
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    out.flush();
+    if (!out) {
+      std::remove(tmp.c_str());
+      throw std::runtime_error("failed to write '" + tmp + "'");
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("failed to rename '" + tmp + "' to '" + path + "'");
+  }
+}
+
+std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    throw std::runtime_error("cannot open '" + path + "' for reading");
+  }
+  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+  if (in.bad()) {
+    throw std::runtime_error("failed to read '" + path + "'");
+  }
+  return bytes;
+}
+
+[[noreturn]] void reject(const Envelope& envelope, const std::string& message) {
+  if (envelope.raise != nullptr) envelope.raise(message);
+  throw SerialError(message);
 }
 
 }  // namespace
@@ -183,6 +228,94 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
   return hash;
 }
 
+std::vector<std::uint8_t> seal(const Envelope& envelope,
+                               std::span<const std::uint8_t> payload) {
+  ByteWriter file;
+  file.u32(envelope.magic);
+  file.u32(envelope.version);
+  file.u64(payload.size());
+  file.u64(fnv1a64(payload));
+  file.raw(payload);
+  return file.take();
+}
+
+void unseal(const Envelope& envelope, std::span<const std::uint8_t> bytes,
+            const std::function<void(ByteReader&)>& parse) {
+  const std::string what(envelope.what);
+  if (bytes.size() < kEnvelopeHeaderBytes) {
+    reject(envelope, what + " is truncated: " + std::to_string(bytes.size()) +
+                         " bytes, shorter than the " +
+                         std::to_string(kEnvelopeHeaderBytes) + "-byte header");
+  }
+  ByteReader header(bytes.subspan(0, kEnvelopeHeaderBytes));
+  if (header.u32() != envelope.magic) {
+    ByteWriter tag;
+    tag.u32(envelope.magic);
+    reject(envelope, "not a " + what + ": bad magic (expected \"" +
+                         std::string(tag.data().begin(), tag.data().end()) + "\")");
+  }
+  const std::uint32_t version = header.u32();
+  if (version != envelope.version) {
+    reject(envelope, what + " version " + std::to_string(version) +
+                         " is not supported by this build (expected version " +
+                         std::to_string(envelope.version) + ")");
+  }
+  const std::uint64_t payload_size = header.u64();
+  const std::uint64_t checksum = header.u64();
+  const std::span<const std::uint8_t> payload = bytes.subspan(kEnvelopeHeaderBytes);
+  if (payload_size > payload.size()) {
+    reject(envelope, what + " is truncated: header declares a " +
+                         std::to_string(payload_size) + "-byte payload but only " +
+                         std::to_string(payload.size()) + " bytes follow");
+  }
+  if (payload_size < payload.size()) {
+    reject(envelope, what + " has " + std::to_string(payload.size() - payload_size) +
+                         " trailing byte(s) after the declared payload");
+  }
+  if (fnv1a64(payload) != checksum) {
+    reject(envelope, what + " payload checksum mismatch: the file is corrupted");
+  }
+  try {
+    ByteReader in(payload);
+    parse(in);
+  } catch (const SerialError& error) {
+    reject(envelope, what + " payload is malformed: " + error.what());
+  }
+}
+
+void write_sealed(const Envelope& envelope, const std::string& path,
+                  std::span<const std::uint8_t> payload) {
+  try {
+    write_file_atomic(path, seal(envelope, payload));
+  } catch (const std::runtime_error& error) {
+    reject(envelope, std::string(envelope.what) + ": " + error.what());
+  }
+}
+
+void read_sealed(const Envelope& envelope, const std::string& path,
+                 const std::function<void(ByteReader&)>& parse) {
+  std::vector<std::uint8_t> bytes;
+  try {
+    bytes = read_file_bytes(path);
+  } catch (const std::runtime_error& error) {
+    reject(envelope, std::string(envelope.what) + ": " + error.what());
+  }
+  try {
+    unseal(envelope, bytes, parse);
+  } catch (const std::runtime_error& error) {
+    reject(envelope, "'" + path + "': " + error.what());
+  }
+}
+
+std::string expand_token(std::string path, std::string_view token,
+                         std::string_view value) {
+  for (std::size_t pos = path.find(token); pos != std::string::npos;
+       pos = path.find(token, pos + value.size())) {
+    path.replace(pos, token.size(), value);
+  }
+  return path;
+}
+
 void write_rng(ByteWriter& out, const Rng& rng) {
   const Rng::State state = rng.state();
   for (const std::uint64_t word : state.words) out.u64(word);
@@ -197,6 +330,9 @@ Rng read_rng(ByteReader& in) {
   state.seed = in.u64();
   state.cached_normal = in.f64();
   state.has_cached_normal = in.boolean();
+  if (state.words == Rng::State{}.words) {
+    throw SerialError("ByteReader: all-zero Rng state words");
+  }
   Rng rng(state.seed);
   rng.set_state(state);
   return rng;

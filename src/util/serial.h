@@ -1,12 +1,15 @@
-// Little-endian binary serialization primitives for checkpointing.
+// Little-endian binary serialization primitives and the snapshot envelope.
 //
 // Every stateful component that participates in checkpoint/resume
 // (strategies, RNG streams, fault injector, batteries, the trainer itself)
 // writes its state through a ByteWriter and restores it through a
 // ByteReader.  The encoding is deliberately dumb: fixed-width little-endian
 // integers, IEEE-754 bit patterns for floats, and u64 length prefixes for
-// strings and vectors.  There is no schema negotiation here — framing,
-// versioning, and integrity checks live one level up in fl::Checkpoint.
+// strings and vectors.  There is no schema negotiation in the payload.
+// Framing, versioning and integrity checks are the one envelope below
+// (seal/unseal, and the crash-safe file pair write_sealed/read_sealed),
+// which every persisted snapshot shares: fl::Checkpoint files and
+// svc::SchedulerService snapshots.
 //
 // Readers are strict: any read past the end of the buffer throws
 // SerialError, and callers that expect to consume a buffer exactly call
@@ -15,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -102,9 +106,56 @@ class ByteReader {
   std::size_t cursor_ = 0;
 };
 
-/// FNV-1a 64-bit hash — the checkpoint payload checksum.  Not
+/// FNV-1a 64-bit hash — the snapshot payload checksum.  Not
 /// cryptographic; it detects corruption, not tampering.
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data);
+
+/// One snapshot file format.  Every format is sealed in the same envelope,
+/// all little-endian:
+///
+///   u32 magic | u32 version | u64 payload_size | u64 fnv1a64(payload)
+///   payload_size bytes of payload
+///
+/// The checksum covers the payload only, so a corrupt header field and a
+/// corrupt payload are reported as distinct errors.  Readers accept only
+/// their own version.
+struct Envelope {
+  std::uint32_t magic = 0;  ///< four ASCII bytes read LE, e.g. "HCKP"
+  std::uint32_t version = 0;
+  std::string_view what;    ///< names the format in every error message
+  /// Throws the format's own error type carrying `message`.  Null means
+  /// SerialError.
+  void (*raise)(const std::string& message) = nullptr;
+};
+
+/// The file image of `payload`: header, then the payload.
+std::vector<std::uint8_t> seal(const Envelope& envelope,
+                               std::span<const std::uint8_t> payload);
+
+/// Checks the envelope of `bytes` and hands a reader over the payload to
+/// `parse`.  Rejects a short header, a bad magic, a foreign version, a
+/// declared size larger than the bytes that follow, trailing bytes and a
+/// checksum mismatch.  A SerialError out of `parse` (the checksum passed, so
+/// the layout is wrong) is rejected as "<what> payload is malformed".
+/// Every rejection goes through envelope.raise; any other exception out of
+/// `parse` passes through unchanged.
+void unseal(const Envelope& envelope, std::span<const std::uint8_t> bytes,
+            const std::function<void(ByteReader&)>& parse);
+
+/// Writes seal(envelope, payload) to `path` + ".tmp", then renames it over
+/// `path`: a crash mid-write never leaves a torn file under `path`, so a
+/// reader sees either the old complete snapshot or the new one.
+void write_sealed(const Envelope& envelope, const std::string& path,
+                  std::span<const std::uint8_t> payload);
+
+/// Reads `path` and unseal()s it; a rejected file's message names `path`.
+void read_sealed(const Envelope& envelope, const std::string& path,
+                 const std::function<void(ByteReader&)>& parse);
+
+/// `path` with every occurrence of `token` replaced by `value`: the
+/// cadenced snapshot names ("{round}", "{decisions}").
+std::string expand_token(std::string path, std::string_view token,
+                         std::string_view value);
 
 /// Serializes a full Rng cursor (state words, seed, Box-Muller cache).
 void write_rng(ByteWriter& out, const Rng& rng);

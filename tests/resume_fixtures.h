@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <sstream>
@@ -196,6 +197,32 @@ inline ResumeRun run_async_case(const ResumeWorld& world,
   tracer.flush();
   run.trace = raw_stream->str();
   return run;
+}
+
+/// One early stop: its name and the options change that makes it fire.
+struct StopCase {
+  std::string name;
+  std::function<void(fl::TrainerOptions&)> apply;
+};
+
+/// The three stop checks, each set to fire before max_rounds in a run whose
+/// uninterrupted history without stops is `plain`: the deadline between the
+/// second and third record, the target at the third record's accuracy
+/// (evaluated under eval_every = 2), and convergence over any two records.
+inline std::vector<StopCase> stop_cases(const fl::TrainingHistory& plain) {
+  const std::vector<fl::RoundRecord>& rounds = plain.rounds();
+  if (rounds.size() < 3 || !rounds[2].evaluated) {
+    ADD_FAILURE() << "stop_cases needs an evaluated third record";
+    return {};
+  }
+  const double deadline = (rounds[1].cum_delay_s + rounds[2].cum_delay_s) / 2.0;
+  const double target = rounds[2].test_accuracy;
+  return {{"deadline", [=](fl::TrainerOptions& o) { o.deadline_s = deadline; }},
+          {"target", [=](fl::TrainerOptions& o) { o.target_accuracy = target; }},
+          {"convergence", [](fl::TrainerOptions& o) {
+             o.convergence_window = 2;
+             o.convergence_epsilon = 1e9;
+           }}};
 }
 
 /// A per-test scratch directory under the build tree, wiped on entry.

@@ -155,6 +155,39 @@ TEST(AsyncResume, SnapshotAfterTheLastStepResumesIntoAFinishedRun) {
   testing::expect_bitwise_resume(dir, golden, resumed, ckpt.trace_seq);
 }
 
+// The resolution that closes a step whose stop check fires (deadline,
+// target accuracy, convergence) writes a snapshot while other clients are
+// still in flight; resuming it must not process them or run another step.
+TEST(AsyncResume, SnapshotWhereAStopFiredResumesIntoAFinishedRun) {
+  const TrainerOptions base = testing::resume_options(/*faults=*/true, 1);
+  const testing::ResumeRun plain =
+      testing::run_async_case(world(), "HELCFL", base, fedbuff_engine());
+  for (const testing::StopCase& stop : testing::stop_cases(plain.history)) {
+    SCOPED_TRACE(stop.name);
+    const std::filesystem::path dir = testing::resume_tmp_dir("async_stop_" + stop.name);
+    TrainerOptions options = base;
+    stop.apply(options);
+    TrainerOptions golden_options = options;
+    golden_options.checkpoint_every = 1;
+    golden_options.checkpoint_path = (dir / "ckpt_r{round}.bin").string();
+    const testing::ResumeRun golden =
+        testing::run_async_case(world(), "HELCFL", golden_options, fedbuff_engine());
+    ASSERT_LT(golden.history.size(), testing::kResumeRounds) << "the stop never fired";
+
+    const std::filesystem::path last = cadence_files(dir).back();
+    const Checkpoint ckpt = Checkpoint::read_file(last.string());
+    ASSERT_EQ(ckpt.records.size(), golden.history.size())
+        << "the last snapshot must follow the step the stop fired after";
+    TrainerOptions resumed_options = options;
+    resumed_options.resume_from = last.string();
+    const testing::ResumeRun resumed =
+        testing::run_async_case(world(), "HELCFL", resumed_options, fedbuff_engine());
+    testing::expect_bitwise_resume(dir, golden, resumed, ckpt.trace_seq);
+    EXPECT_GT(trace_field_u64(resumed.trace, "checkpoint_resume", "in_flight"), 0U)
+        << "the stop left no client in flight, so the case proves little";
+  }
+}
+
 // A snapshot taken by a sequential run must resume bitwise identically on a
 // 4-thread pool: worker count is rebuild-time configuration, not state.
 TEST(AsyncResume, SnapshotsAreThreadCountPortable) {

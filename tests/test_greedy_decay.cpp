@@ -176,23 +176,6 @@ TEST(GreedyDecayEdge, SelectionCappedByAliveUsers) {
   EXPECT_EQ(selector.select({users, alive}), (std::vector<std::size_t>{1, 3}));
 }
 
-TEST(GreedyDecayEdge, RestorePinsFleetSize) {
-  const auto two = users_with_delays({{1.0, 0.5}, {2.0, 0.5}});
-  const auto three = users_with_delays({{1.0, 0.5}, {2.0, 0.5}, {3.0, 0.5}});
-  GreedyDecaySelector selector(0.5, 0.9);
-  // A non-empty restore pins the fleet to its size...
-  selector.restore_appearance_counts({9, 0, 0});
-  EXPECT_THROW(selector.select({two}), std::invalid_argument);
-  const auto picked = selector.select({three});
-  // alpha = {9, 0, 0}: 0.9^9/1.5 < 1/3.5 < 1/2.5 — the restored decay
-  // pushes the fastest user below both never-selected ones.
-  EXPECT_EQ(picked, (std::vector<std::size_t>{1, 2}));
-  // ... and an empty restore returns to the fully unpinned state.
-  selector.restore_appearance_counts({});
-  EXPECT_TRUE(selector.appearance_counts().empty());
-  EXPECT_EQ(selector.select({two}).size(), 1u);
-}
-
 TEST(GreedyDecayEdge, SingleUserFleet) {
   const auto users = users_with_delays({{1.0, 0.5}});
   GreedyDecaySelector selector(0.01, 0.9);  // N = max(Q*C, 1) = 1

@@ -5,13 +5,14 @@
 //     because row sharding never changes an element's ascending-k
 //     accumulation order.
 //  2. Packing is a pure data rearrangement: packed and unpacked products
-//     are bitwise identical, at any thread count.
+//     are bitwise identical, at any thread count.  Dense and Conv2D always
+//     forward through packed weight panels; their output equals the
+//     span-operand GEMM (the unpacked reference) bit for bit.
 //  3. The layer-level invalidation contract (nn/layer.h) keeps prepacked
 //     forwards tracking fresh weights through every mutation path —
 //     optimizer steps, load_parameters, and zero_grad.
 //  4. End to end: a federated training run produces bitwise-identical
-//     weights and metrics CSV bytes whatever the kernel-thread count, with
-//     threading and prepacking both enabled.
+//     weights and metrics CSV bytes whatever the kernel-thread count.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -38,16 +39,62 @@
 namespace helcfl {
 namespace {
 
-/// Restores the process-wide kernel configuration on scope exit so tests
-/// cannot leak thread/prepack settings into each other.
+/// Restores the process-wide kernel thread count on scope exit so tests
+/// cannot leak it into each other.
 struct KernelConfigGuard {
   std::size_t threads = tensor::kernel_threads();
-  bool prepack = tensor::weight_prepack_enabled();
-  ~KernelConfigGuard() {
-    tensor::set_kernel_threads(threads);
-    tensor::set_weight_prepack(prepack);
-  }
+  ~KernelConfigGuard() { tensor::set_kernel_threads(threads); }
 };
+
+std::vector<float> flat(const tensor::Tensor& t) {
+  return {t.data().begin(), t.data().end()};
+}
+
+/// Dense::forward on the span-operand GEMM: x [batch, in] times the
+/// unpacked weight [out, in] transposed, bias fused per column.
+std::vector<float> dense_reference(nn::Dense& layer, const tensor::Tensor& x) {
+  const std::vector<nn::ParamRef> params = layer.params();  // weight, bias
+  const std::size_t batch = x.shape()[0];
+  std::vector<float> y(batch * layer.out_features());
+  tensor::gemm_a_bt_bias_cols(batch, layer.in_features(), layer.out_features(),
+                              x.data(), params[0].value, params[1].value, y);
+  return y;
+}
+
+/// Conv2D::forward (stride 1) on the span-operand GEMM: per sample, the
+/// im2col columns [in*k*k, h_out*w_out] times the unpacked weight, bias
+/// fused per row.
+std::vector<float> conv_reference(nn::Conv2D& conv, const tensor::Tensor& x,
+                                  std::size_t pad) {
+  const std::vector<nn::ParamRef> params = conv.params();  // weight, bias
+  const std::size_t batch = x.shape()[0], c = x.shape()[1];
+  const std::size_t h = x.shape()[2], w = x.shape()[3];
+  const std::size_t k = conv.kernel_size(), out = conv.out_channels();
+  const std::size_t ho = conv.output_extent(h), wo = conv.output_extent(w);
+  const std::size_t ckk = c * k * k, hw = ho * wo;
+  std::vector<float> col(ckk * hw);
+  std::vector<float> y(batch * out * hw);
+  for (std::size_t s = 0; s < batch; ++s) {
+    std::size_t r = 0;
+    for (std::size_t ic = 0; ic < c; ++ic) {
+      for (std::size_t ky = 0; ky < k; ++ky) {
+        for (std::size_t kx = 0; kx < k; ++kx, ++r) {
+          for (std::size_t oy = 0; oy < ho; ++oy) {
+            for (std::size_t ox = 0; ox < wo; ++ox) {
+              const std::size_t iy = oy + ky, ix = ox + kx;  // padded coordinates
+              const bool inside = iy >= pad && iy < h + pad && ix >= pad && ix < w + pad;
+              col[r * hw + oy * wo + ox] =
+                  inside ? x.data()[((s * c + ic) * h + iy - pad) * w + ix - pad] : 0.0F;
+            }
+          }
+        }
+      }
+    }
+    tensor::gemm_bias_rows(out, ckk, hw, params[0].value, col, params[1].value,
+                           std::span<float>(y.data() + s * out * hw, out * hw));
+  }
+  return y;
+}
 
 std::vector<float> random_vec(std::size_t n, util::Rng& rng) {
   std::vector<float> v(n);
@@ -195,15 +242,8 @@ TEST(KernelParallel, DenseForwardMatchesUnpackedAndFollowsMutations) {
   util::Rng rng(0xC1);
   nn::Dense packed_layer(23, 17, rng);
   const tensor::Tensor x = testing::random_input({5, 23}, 0xC2);
-
-  tensor::set_weight_prepack(false);
-  const tensor::Tensor y_ref = packed_layer.forward(x, /*training=*/false);
-  tensor::set_weight_prepack(true);
-  const tensor::Tensor y_packed = packed_layer.forward(x, /*training=*/false);
-  ASSERT_EQ(y_ref.size(), y_packed.size());
-  for (std::size_t i = 0; i < y_ref.size(); ++i) {
-    EXPECT_EQ(y_ref[i], y_packed[i]) << "flat index " << i;
-  }
+  EXPECT_EQ(flat(packed_layer.forward(x, /*training=*/false)),
+            dense_reference(packed_layer, x));
 
   // An optimizer step must invalidate the panels via the ParamRef owner
   // back-pointer: the next packed forward sees the stepped weights.
@@ -213,14 +253,8 @@ TEST(KernelParallel, DenseForwardMatchesUnpackedAndFollowsMutations) {
   packed_layer.backward(dy);
   nn::Sgd sgd({.learning_rate = 0.1F});
   sgd.step(packed_layer.params());
-
-  tensor::set_weight_prepack(false);
-  const tensor::Tensor y2_ref = packed_layer.forward(x, false);
-  tensor::set_weight_prepack(true);
-  const tensor::Tensor y2_packed = packed_layer.forward(x, false);
-  for (std::size_t i = 0; i < y2_ref.size(); ++i) {
-    EXPECT_EQ(y2_ref[i], y2_packed[i]) << "post-step flat index " << i;
-  }
+  EXPECT_EQ(flat(packed_layer.forward(x, false)), dense_reference(packed_layer, x))
+      << "post-step";
 }
 
 TEST(KernelParallel, Conv2dForwardMatchesUnpackedAndFollowsLoadParameters) {
@@ -229,36 +263,22 @@ TEST(KernelParallel, Conv2dForwardMatchesUnpackedAndFollowsLoadParameters) {
   util::Rng rng(0xC4);
   nn::Conv2D conv(3, 8, 3, 1, 1, rng);
   const tensor::Tensor x = testing::random_input({2, 3, 9, 9}, 0xC5);
-
-  tensor::set_weight_prepack(false);
-  const tensor::Tensor y_ref = conv.forward(x, false);
-  tensor::set_weight_prepack(true);
-  const tensor::Tensor y_packed = conv.forward(x, false);
-  ASSERT_EQ(y_ref.size(), y_packed.size());
-  for (std::size_t i = 0; i < y_ref.size(); ++i) {
-    EXPECT_EQ(y_ref[i], y_packed[i]) << "flat index " << i;
-  }
+  EXPECT_EQ(flat(conv.forward(x, false)), conv_reference(conv, x, 1));
 
   // load_parameters must invalidate through Sequential::mark_weights_dirty.
   nn::Sequential model;
-  model.emplace<nn::Conv2D>(3, 8, 3, 1, 1, rng);
-  const tensor::Tensor before = model.forward(x, false);  // packs panels
+  auto& layer = model.emplace<nn::Conv2D>(3, 8, 3, 1, 1, rng);
+  model.forward(x, false);  // packs panels
   std::vector<float> params = nn::extract_parameters(model);
   for (float& v : params) v += 0.125F;
   nn::load_parameters(model, params);
-  tensor::set_weight_prepack(false);
-  const tensor::Tensor after_ref = model.forward(x, false);
-  tensor::set_weight_prepack(true);
-  const tensor::Tensor after_packed = model.forward(x, false);
-  for (std::size_t i = 0; i < after_ref.size(); ++i) {
-    EXPECT_EQ(after_ref[i], after_packed[i]) << "post-load flat index " << i;
-  }
+  EXPECT_EQ(flat(model.forward(x, false)), conv_reference(layer, x, 1))
+      << "post-load";
 }
 
 TEST(KernelParallel, GradcheckPassesThroughPrepackedForward) {
   KernelConfigGuard guard;
   tensor::set_kernel_threads(1);
-  tensor::set_weight_prepack(true);
   util::Rng rng(0xC6);
   nn::Dense dense(6, 4, rng);
   testing::check_gradients(dense, testing::random_input({3, 6}, 0xC7));
@@ -266,16 +286,15 @@ TEST(KernelParallel, GradcheckPassesThroughPrepackedForward) {
   testing::check_gradients(conv, testing::random_input({1, 2, 5, 5}, 0xC8));
 }
 
-TEST(KernelParallel, CnnTrainStepIsBitwiseInvariantAcrossThreadsAndPacking) {
+TEST(KernelParallel, CnnTrainStepIsBitwiseInvariantAcrossThreads) {
   KernelConfigGuard guard;
   const data::TrainTestSplit split = testing::tiny_split(64, 16, 90);
   std::vector<std::size_t> indices(32);
   for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
   const data::Batch batch = split.train.gather(indices);
 
-  const auto run_step = [&](std::size_t threads, bool prepack) {
+  const auto run_step = [&](std::size_t threads) {
     tensor::set_kernel_threads(threads);
-    tensor::set_weight_prepack(prepack);
     util::Rng model_rng(91);
     auto model = nn::make_small_cnn(split.train.spec(), 10, model_rng);
     const std::vector<float> init = nn::extract_parameters(*model);
@@ -287,10 +306,9 @@ TEST(KernelParallel, CnnTrainStepIsBitwiseInvariantAcrossThreadsAndPacking) {
     return fl::local_update(*model, init, batch, options, rng).weights;
   };
 
-  const std::vector<float> reference = run_step(1, false);
-  EXPECT_EQ(run_step(1, true), reference) << "threads=1 prepack=on";
-  EXPECT_EQ(run_step(4, false), reference) << "threads=4 prepack=off";
-  EXPECT_EQ(run_step(4, true), reference) << "threads=4 prepack=on";
+  const std::vector<float> reference = run_step(1);
+  EXPECT_EQ(run_step(2), reference) << "threads=2";
+  EXPECT_EQ(run_step(4), reference) << "threads=4";
 }
 
 TEST(KernelParallel, ScratchStopsGrowingInSteadyStateUnderFourThreads) {
@@ -311,10 +329,9 @@ TEST(KernelParallel, ScratchStopsGrowingInSteadyStateUnderFourThreads) {
 }
 
 /// End-to-end: a full federated run is bitwise invariant to the kernel
-/// thread count with prepacking enabled, down to the metrics CSV bytes.
+/// thread count, down to the metrics CSV bytes.
 TEST(KernelParallel, TrainerRunIsBitwiseInvariantAcrossKernelThreads) {
   KernelConfigGuard guard;
-  tensor::set_weight_prepack(true);
 
   const data::TrainTestSplit split = testing::tiny_split(200, 60, 93);
   util::Rng prng(94);

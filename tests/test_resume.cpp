@@ -94,6 +94,36 @@ TEST(ResumeCadence, EveryCadencePointResumesIdentically) {
   }
 }
 
+// A round whose stop check fires (deadline, target accuracy, convergence)
+// writes its cadence checkpoint before the check ends the run.  Resuming
+// that checkpoint resumes into the finished run: no extra round runs.
+TEST(ResumeStop, SnapshotWhereAStopFiredResumesIntoAFinishedRun) {
+  const TrainerOptions base = testing::resume_options(/*faults=*/false, 1);
+  const testing::ResumeRun plain = testing::run_resume_case(world(), "HELCFL", base);
+  for (const testing::StopCase& stop : testing::stop_cases(plain.history)) {
+    SCOPED_TRACE(stop.name);
+    const std::filesystem::path dir = testing::resume_tmp_dir("stop_" + stop.name);
+    TrainerOptions options = base;
+    stop.apply(options);
+    TrainerOptions golden_options = options;
+    golden_options.checkpoint_every = 1;
+    golden_options.checkpoint_path = (dir / "ckpt_r{round}.bin").string();
+    const testing::ResumeRun golden =
+        testing::run_resume_case(world(), "HELCFL", golden_options);
+    ASSERT_LT(golden.history.size(), testing::kResumeRounds) << "the stop never fired";
+
+    const std::string path =
+        (dir / ("ckpt_r" + std::to_string(golden.history.size()) + ".bin")).string();
+    const Checkpoint ckpt = Checkpoint::read_file(path);
+    ASSERT_EQ(ckpt.records.size(), golden.history.size());
+    TrainerOptions resumed_options = options;
+    resumed_options.resume_from = path;
+    const testing::ResumeRun resumed =
+        testing::run_resume_case(world(), "HELCFL", resumed_options);
+    testing::expect_bitwise_resume(dir, golden, resumed, ckpt.trace_seq);
+  }
+}
+
 // A checkpoint saved by a sequential run resumes bitwise-identically on a
 // 4-thread pool and vice versa (the parallel engine's determinism
 // guarantee extends across the save/restore boundary).

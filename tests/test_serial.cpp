@@ -1,12 +1,17 @@
 // The serialization substrate of the checkpoint format: fixed-width
 // little-endian round-trips, bit-exact float transport (NaN payloads
 // included), strict overrun handling, and bounds-checked length prefixes
-// that cannot be used to force giant allocations.
+// that cannot be used to force giant allocations.  Also the snapshot
+// envelope (seal/unseal) that checkpoints and service snapshots share: its
+// rejection table runs under both formats' magics, checked by message.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -218,6 +223,179 @@ TEST(RngSerialization, WriteReadRoundTripContinuesIdentically) {
     EXPECT_EQ(rng.next_u64(), restored.next_u64());
   }
   EXPECT_EQ(rng.normal(), restored.normal());
+}
+
+TEST(RngSerialization, AllZeroStateWordsAreRejected) {
+  ByteWriter out;
+  for (int i = 0; i < 5; ++i) out.u64(0);  // four state words + seed
+  out.f64(0.0);
+  out.boolean(false);
+  ByteReader in(out.data());
+  EXPECT_THROW(read_rng(in), SerialError);
+}
+
+// --- Snapshot envelope ------------------------------------------------------
+
+/// Both snapshot formats: fl::Checkpoint ("HCKP", v4) and
+/// svc::SchedulerService ("HSVS", v1).
+const std::vector<Envelope>& formats() {
+  static const std::vector<Envelope> kFormats = {
+      {0x504b4348, 4, "checkpoint"}, {0x53565348, 1, "service snapshot"}};
+  return kFormats;
+}
+
+std::vector<std::uint8_t> sample_payload() {
+  ByteWriter out;
+  out.u64(42);
+  out.str("payload");
+  out.vec_f64(std::vector<double>{1.5, -2.25});
+  return out.take();
+}
+
+/// unseal()'s rejection message for `bytes`, or "" if it was accepted.
+std::string rejection(const Envelope& format, const std::vector<std::uint8_t>& bytes) {
+  try {
+    unseal(format, bytes, [](ByteReader& in) {
+      in.u64();
+      in.str();
+      in.vec_f64();
+      in.expect_end("sample payload");
+    });
+  } catch (const SerialError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Envelope, SealWritesTheHeaderThenThePayload) {
+  const std::vector<std::uint8_t> payload = sample_payload();
+  const std::vector<std::uint8_t> image = seal(formats()[0], payload);
+  ByteReader header(image);
+  EXPECT_EQ(header.u32(), 0x504b4348U);
+  EXPECT_EQ(header.u32(), 4U);
+  EXPECT_EQ(header.u64(), payload.size());
+  EXPECT_EQ(header.u64(), fnv1a64(payload));
+  EXPECT_EQ(std::vector<std::uint8_t>(image.begin() + 24, image.end()), payload);
+
+  std::vector<std::uint8_t> seen;
+  unseal(formats()[0], image, [&](ByteReader& in) {
+    const auto rest = in.raw(in.remaining());
+    seen.assign(rest.begin(), rest.end());
+  });
+  EXPECT_EQ(seen, payload);
+}
+
+TEST(Envelope, RejectionTableUnderBothMagics) {
+  for (const Envelope& format : formats()) {
+    SCOPED_TRACE(std::string(format.what));
+    const std::string what(format.what);
+    const std::vector<std::uint8_t> image = seal(format, sample_payload());
+    const std::size_t payload_size = image.size() - 24;
+    ASSERT_EQ(rejection(format, image), "");
+
+    // Every truncation prefix: inside the header, then inside the payload.
+    for (std::size_t n = 0; n < image.size(); ++n) {
+      const std::vector<std::uint8_t> prefix(image.begin(),
+                                             image.begin() + static_cast<long>(n));
+      const std::string expected =
+          n < 24 ? what + " is truncated: " + std::to_string(n) +
+                       " bytes, shorter than the 24-byte header"
+                 : what + " is truncated: header declares a " +
+                       std::to_string(payload_size) + "-byte payload but only " +
+                       std::to_string(n - 24) + " bytes follow";
+      EXPECT_EQ(rejection(format, prefix), expected) << "prefix " << n;
+    }
+
+    std::vector<std::uint8_t> bad_magic = image;
+    bad_magic[0] ^= 0xFF;
+    const std::string tag(reinterpret_cast<const char*>(&image[0]), 4);
+    EXPECT_EQ(rejection(format, bad_magic),
+              "not a " + what + ": bad magic (expected \"" + tag + "\")");
+
+    std::vector<std::uint8_t> foreign = image;
+    foreign[4] = static_cast<std::uint8_t>(format.version + 1);
+    EXPECT_EQ(rejection(format, foreign),
+              what + " version " + std::to_string(format.version + 1) +
+                  " is not supported by this build (expected version " +
+                  std::to_string(format.version) + ")");
+
+    std::vector<std::uint8_t> flipped = image;
+    flipped[24 + payload_size / 2] ^= 0x04;
+    EXPECT_EQ(rejection(format, flipped),
+              what + " payload checksum mismatch: the file is corrupted");
+
+    std::vector<std::uint8_t> trailing = image;
+    trailing.push_back(0);
+    EXPECT_EQ(rejection(format, trailing),
+              what + " has 1 trailing byte(s) after the declared payload");
+  }
+}
+
+TEST(Envelope, PayloadLayoutErrorsAreReportedAsMalformed) {
+  const Envelope& format = formats()[1];
+  const std::vector<std::uint8_t> image = seal(format, sample_payload());
+  try {
+    unseal(format, image, [](ByteReader& in) { in.raw(in.remaining() + 1); });
+    FAIL() << "an overrunning parse was accepted";
+  } catch (const SerialError& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("service snapshot payload is malformed: "
+                                              "ByteReader: read of",
+                                              0),
+              0U)
+        << error.what();
+  }
+  // Errors of any other type out of the parse pass through untouched.
+  EXPECT_THROW(unseal(format, image,
+                      [](ByteReader&) { throw std::logic_error("domain check"); }),
+               std::logic_error);
+}
+
+struct FormatError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+void raise_format_error(const std::string& message) { throw FormatError(message); }
+
+TEST(Envelope, RejectionsRaiseTheFormatsOwnErrorAndNameTheFile) {
+  const Envelope format{0x53565348, 1, "service snapshot", &raise_format_error};
+  std::vector<std::uint8_t> image = seal(format, sample_payload());
+  image.pop_back();
+  EXPECT_THROW(unseal(format, image, [](ByteReader&) {}), FormatError);
+
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "envelope_files";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "snap.bin").string();
+  write_sealed(format, path, sample_payload());
+  std::vector<std::uint8_t> seen;
+  read_sealed(format, path, [&](ByteReader& in) {
+    const auto rest = in.raw(in.remaining());
+    seen.assign(rest.begin(), rest.end());
+  });
+  EXPECT_EQ(seen, sample_payload());
+
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    out.put('\0');
+  }
+  try {
+    read_sealed(format, path, [](ByteReader&) {});
+    FAIL() << "a file with a trailing byte was accepted";
+  } catch (const FormatError& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "'" + path + "': service snapshot has 1 trailing byte(s) after the "
+                           "declared payload");
+  }
+  try {
+    read_sealed(format, (dir / "missing.bin").string(), [](ByteReader&) {});
+    FAIL() << "a missing file was accepted";
+  } catch (const FormatError& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("service snapshot: cannot open '", 0), 0U)
+        << error.what();
+  }
+  EXPECT_THROW(write_sealed(format, (dir / "no_dir" / "x.bin").string(), {}),
+               FormatError);
 }
 
 }  // namespace

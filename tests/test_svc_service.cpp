@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -323,25 +324,62 @@ TEST(SvcService, RestoreRejectsCorruptionAndMismatch) {
   serve_round(service, 1, 0, 1);
   const auto image = service.snapshot();
 
-  // Truncated header and torn payload.
   svc::SchedulerService victim(users, small_options());
-  std::vector<std::uint8_t> tiny(image.begin(), image.begin() + 10);
-  EXPECT_THROW(victim.restore(tiny), svc::ServiceError);
-  std::vector<std::uint8_t> torn(image.begin(), image.end() - 4);
-  EXPECT_THROW(victim.restore(torn), svc::ServiceError);
+  const auto pristine = victim.snapshot();
+  // Each rejection names what failed, and leaves the victim's state (its
+  // snapshot) exactly as it was.
+  const auto expect_rejected = [](svc::SchedulerService& target,
+                                  std::span<const std::uint8_t> bytes,
+                                  const std::string& message_piece) {
+    const auto before = target.snapshot();
+    try {
+      target.restore(bytes);
+      ADD_FAILURE() << "accepted a bad snapshot (wanted '" << message_piece << "')";
+    } catch (const svc::ServiceError& error) {
+      EXPECT_NE(std::string(error.what()).find(message_piece), std::string::npos)
+          << "got: " << error.what();
+    }
+    EXPECT_EQ(target.snapshot(), before) << message_piece;
+  };
+
+  // Truncated header and torn payload.
+  const std::vector<std::uint8_t> tiny(image.begin(), image.begin() + 10);
+  expect_rejected(victim, tiny,
+                  "service snapshot is truncated: 10 bytes, shorter than the "
+                  "24-byte header");
+  const std::vector<std::uint8_t> torn(image.begin(), image.end() - 4);
+  expect_rejected(victim, torn, "service snapshot is truncated: header declares a");
+
+  // Bad magic, a foreign version, and a trailing byte.
+  auto bad_magic = image;
+  bad_magic[0] ^= 0xFF;
+  expect_rejected(victim, bad_magic,
+                  "not a service snapshot: bad magic (expected \"HSVS\")");
+  auto foreign = image;
+  foreign[4] = static_cast<std::uint8_t>(svc::SchedulerService::kSnapshotVersion + 1);
+  expect_rejected(victim, foreign,
+                  "service snapshot version 2 is not supported by this build "
+                  "(expected version 1)");
+  auto trailing = image;
+  trailing.push_back(0);
+  expect_rejected(victim, trailing,
+                  "service snapshot has 1 trailing byte(s) after the declared payload");
 
   // One flipped payload byte must fail the checksum.
   auto corrupt = image;
   corrupt[corrupt.size() - 1] ^= 0x01;
-  EXPECT_THROW(victim.restore(corrupt), svc::ServiceError);
+  expect_rejected(victim, corrupt,
+                  "service snapshot payload checksum mismatch: the file is corrupted");
 
   // Restoring onto a differently-configured service fails the config echo.
   svc::ServiceOptions other = small_options();
   other.fraction = 0.5;
   svc::SchedulerService mismatched(users, other);
-  EXPECT_THROW(mismatched.restore(image), svc::ServiceError);
+  expect_rejected(mismatched, image,
+                  "service snapshot was taken under a different configuration");
 
   // A failed restore leaves the victim fully functional and unchanged.
+  EXPECT_EQ(victim.snapshot(), pristine);
   const auto response = serve_round(victim, 1, 0, 2);
   EXPECT_FALSE(response.selected.empty());
 }
