@@ -4,7 +4,10 @@
 // a small JSON file (one object per benchmark: name, ns/op, items/sec,
 // iterations, plus any user counters such as p99 latencies) so CI and
 // before/after comparisons can diff numbers without scraping console
-// tables.  Override the output path with --bench-json=<path>.
+// tables.  A top-level "host" object records where the rows were measured
+// (core count, CPU model, compiler, build type, commit), so rows from two
+// files are only compared like for like.  Override the output path with
+// --bench-json=<path>.
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -13,12 +16,36 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "tensor/ops.h"
 
+// Set by bench/CMakeLists.txt at configure time.
+#ifndef HELCFL_BENCH_BUILD_TYPE
+#define HELCFL_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef HELCFL_BENCH_COMMIT
+#define HELCFL_BENCH_COMMIT "unknown"
+#endif
+
 namespace helcfl::bench {
+
+/// The "model name" of the first CPU in /proc/cpuinfo, or "unknown".
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(" \t", colon + 1);
+    if (start == std::string::npos) break;
+    return line.substr(start);
+  }
+  return "unknown";
+}
 
 /// Display reporter that forwards to the stock console reporter while
 /// collecting per-run rows, then writes them as JSON in Finalize().
@@ -75,7 +102,11 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
       std::cerr << "bench_json: cannot open " << path_ << "\n";
       return;
     }
-    out << "{\n  \"kernel_isa\": \"" << tensor::kernel_isa() << "\",\n"
+    out << "{\n  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+        << ", \"cpu_model\": \"" << escape(cpu_model()) << "\", \"compiler\": \""
+        << escape(__VERSION__) << "\", \"build_type\": \"" << escape(HELCFL_BENCH_BUILD_TYPE)
+        << "\", \"commit\": \"" << escape(HELCFL_BENCH_COMMIT) << "\"},\n"
+        << "  \"kernel_isa\": \"" << tensor::kernel_isa() << "\",\n"
         << "  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       const Row& r = rows_[i];

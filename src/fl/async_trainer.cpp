@@ -14,7 +14,6 @@
 #include "fl/round_steps.h"
 #include "fl/server.h"
 #include "mec/tdma.h"
-#include "nn/serialize.h"
 #include "obs/profiler.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -109,7 +108,7 @@ void save_dispatch(util::ByteWriter& out, const AsyncDispatch& d) {
   out.vec_f32(o.update.weights);
   out.f64(o.update.train_loss);
   out.u64(static_cast<std::uint64_t>(o.update.num_samples));
-  out.vec_f32(o.state);
+  out.vec_f32({});  // persistent model state: always empty (docs/CHECKPOINT.md)
 }
 
 AsyncDispatch load_dispatch(util::ByteReader& in, std::size_t n_users) {
@@ -139,7 +138,12 @@ AsyncDispatch load_dispatch(util::ByteReader& in, std::size_t n_users) {
   o.update.weights = in.vec_f32();
   o.update.train_loss = in.f64();
   o.update.num_samples = static_cast<std::size_t>(in.u64());
-  o.state = in.vec_f32();
+  const std::size_t state_size = in.vec_f32().size();
+  if (state_size != 0) {
+    throw CheckpointError("async state holds a dispatch record with " +
+                          std::to_string(state_size) +
+                          " persistent state scalars; no model has any");
+  }
   if (d.user >= n_users) {
     throw CheckpointError("async state names dispatched user " +
                           std::to_string(d.user) + " of a " +
@@ -521,7 +525,6 @@ TrainingHistory AsyncTrainer::run() {
       }
       ++st.model_version;
       world.strategy.observe(st.step, aggregated, losses);
-      if (run.has_state) nn::load_state(world.model, buffer.back().outcome.state);
     } else {
       // Quorum failed: the model holds still and every buffered update's
       // energy is wasted on top of what already failed this step.

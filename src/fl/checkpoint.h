@@ -76,7 +76,10 @@ struct Checkpoint {
 
   // --- model ---
   std::vector<float> global_weights;  ///< via nn/serialize.h
-  std::vector<float> model_state;     ///< persistent buffers (empty if none)
+  /// Persistent non-trainable model state.  No model has any, so writers
+  /// leave it empty and resume rejects a non-empty one; the field stays so
+  /// the v4 layout is unchanged.
+  std::vector<float> model_state;
 
   // --- stream cursors and component state ---
   util::Rng batch_rng;                     ///< mini-batch fork parent

@@ -68,7 +68,6 @@ RunState::RunState(RoundWorld& w)
       profiler(w.options.obs.profiler),
       registry(w.options.obs.registry),
       batteries_enabled(w.batteries.size() > 0),
-      has_state(nn::state_count(w.model) > 0),
       max_attempts(1 + w.options.max_upload_retries),
       batch_rng(w.options.seed),
       fading(w.users.size(), w.options.fading, util::Rng(w.options.seed).fork(0xFAD1A6)),
@@ -136,11 +135,10 @@ std::optional<Checkpoint> RunState::resume(
                           " parameters, this trainer's model has " +
                           std::to_string(global_weights.size()));
   }
-  if (ckpt.model_state.size() != nn::state_count(world.model)) {
+  if (!ckpt.model_state.empty()) {
     throw CheckpointError("'" + path + "': saved model has " +
                           std::to_string(ckpt.model_state.size()) +
-                          " persistent state scalars, this trainer's model has " +
-                          std::to_string(nn::state_count(world.model)));
+                          " persistent state scalars, this trainer's model has 0");
   }
   if (ckpt.batteries_enabled != batteries_enabled) {
     throw CheckpointError(
@@ -189,7 +187,6 @@ std::optional<Checkpoint> RunState::resume(
   }
   // Commit — nothing below throws.
   if (batteries_enabled) world.batteries = std::move(restored_batteries);
-  if (!ckpt.model_state.empty()) nn::load_state(world.model, ckpt.model_state);
   global_weights = ckpt.global_weights;
   for (const RoundRecord& record : ckpt.records) history.add(record);
   cum_energy = ckpt.cum_energy_j;
@@ -235,7 +232,6 @@ Checkpoint RunState::snapshot(std::uint64_t next_round, double cum_delay) const 
   ckpt.best_accuracy = best_accuracy;
   ckpt.trace_seq = tracer != nullptr ? tracer->event_count() : 0;
   ckpt.global_weights = global_weights;
-  if (has_state) ckpt.model_state = nn::extract_state(world.model);
   ckpt.batch_rng = batch_rng;
   ckpt.strategy_name = world.strategy.name();
   const auto frame = [](const auto& component) {
@@ -288,8 +284,7 @@ ClientTask RunState::resolve_client(const sched::FleetView& fleet,
 namespace {
 
 /// One dispatch, one outcome (Algorithm 1 line 7 plus the Eq. 4-8 costs).
-ClientOutcome execute_client(const RunState& run, const ClientTask& task,
-                             const std::vector<float>& base_state, std::size_t index) {
+ClientOutcome execute_client(const RunState& run, const ClientTask& task, std::size_t index) {
   const RoundWorld& world = run.world;
   // Per-client span (kDebug): tagged with the pool-worker tid by the
   // profiler, so chrome://tracing shows the cohort's actual packing.
@@ -314,7 +309,6 @@ ClientOutcome execute_client(const RunState& run, const ClientTask& task,
   const std::size_t worker = util::ThreadPool::worker_index();
   nn::Sequential& model =
       worker == util::ThreadPool::npos ? world.model : *run.replicas[worker];
-  if (run.has_state) nn::load_state(model, base_state);
 
   util::Rng client_rng = task.rng;
   outcome.trained = true;
@@ -353,7 +347,6 @@ ClientOutcome execute_client(const RunState& run, const ClientTask& task,
   outcome.energy_j = mec::compute_energy_j(device, f) +
                      static_cast<double>(outcome.attempts) *
                          mec::upload_energy_j(faded, world.channel, wire_bits);
-  if (run.has_state) outcome.state = nn::extract_state(model);
   return outcome;
 }
 
@@ -362,13 +355,11 @@ ClientOutcome execute_client(const RunState& run, const ClientTask& task,
 std::vector<ClientOutcome> RunState::train_cohort(
     std::span<const ClientTask> tasks, std::string_view unit, std::size_t index,
     const std::function<void(ClientOutcome&)>& finish) {
-  const std::vector<float> base_state =
-      has_state ? nn::extract_state(world.model) : std::vector<float>{};
   std::vector<ClientOutcome> outcomes(tasks.size());
   // Each task owns outcome slot k; the upload compression path runs inside
   // the task so it parallelizes too.
   const auto run_client = [&](std::size_t k) {
-    outcomes[k] = execute_client(*this, tasks[k], base_state, index);
+    outcomes[k] = execute_client(*this, tasks[k], index);
     if (finish) finish(outcomes[k]);
   };
 
@@ -467,10 +458,6 @@ void RunState::close_step(RoundRecord record, std::size_t trained, bool last) {
     if (pool.worker_count() == 0) {
       eval = evaluate(world.model, global_weights, eval_plan);
     } else {
-      if (has_state) {
-        const std::vector<float> eval_state = nn::extract_state(world.model);
-        for (nn::Sequential* replica : eval_models) nn::load_state(*replica, eval_state);
-      }
       eval = evaluate_parallel(eval_models, global_weights, eval_plan, pool);
     }
     record.evaluated = true;

@@ -86,7 +86,6 @@ struct ClientOutcome {
   double occupancy_s = 0.0;        ///< uplink hold: every attempt + backoff gaps
   std::size_t attempts = 0;        ///< transmissions made (0 for crashed clients)
   double energy_j = 0.0;           ///< all cycles and transmissions, Eqs. (5)+(8)
-  std::vector<float> state;        ///< post-training persistent buffers
 };
 
 /// The per-run scaffold both engines build at the top of run(): the
@@ -103,10 +102,6 @@ struct RunState {
   obs::PhaseProfiler* const profiler;
   obs::Registry* const registry;
   const bool batteries_enabled;
-  /// Persistent non-trainable buffers (BatchNorm running statistics): each
-  /// client starts from its dispatch-time snapshot regardless of the worker
-  /// it lands on, so the protocol is thread-count invariant.
-  const bool has_state;
   const std::size_t max_attempts;  ///< 1 + max_upload_retries
   util::Rng batch_rng;
   mec::FadingProcess fading;
@@ -141,7 +136,7 @@ struct RunState {
   /// the strategy last — it parses its whole payload before touching a
   /// member.  Every failure throws CheckpointError naming the file, with
   /// the trainer and its model untouched.  On success it commits the common
-  /// state (batteries, model state, global weights, records, energy totals,
+  /// state (batteries, global weights, records, energy totals,
   /// best accuracy) and returns the checkpoint so the caller can commit its
   /// own state; nothing after the parse throws.  nullopt = fresh run.
   std::optional<Checkpoint> resume(

@@ -8,7 +8,6 @@
 #include "fl/round_steps.h"
 #include "fl/server.h"
 #include "mec/tdma.h"
-#include "nn/serialize.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "util/log.h"
@@ -299,7 +298,6 @@ TrainingHistory FederatedTrainer::run() {
       }
       run.global_weights = fedavg(uploads);
       world.strategy.observe(round, survivor_decision, client_losses);
-      if (run.has_state) nn::load_state(world.model, outcomes[survivors.back()].state);
     } else {
       record.wasted_energy_j = record.round_energy_j;  // nothing entered the model
     }

@@ -49,7 +49,7 @@ struct TrainerOptions {
   /// Client updates run on per-worker model replicas with pre-forked RNG
   /// streams and are reduced in selection order, so the training trace and
   /// final weights are bitwise identical for every value of this knob
-  /// (DESIGN.md §7; models containing Dropout are the documented exception).
+  /// (DESIGN.md §7).
   std::size_t num_threads = 1;
 
   /// Algorithm 1's convergence exit: after each round the FLCC checks

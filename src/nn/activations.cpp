@@ -1,7 +1,6 @@
 #include "nn/activations.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace helcfl::nn {
 
@@ -24,44 +23,6 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   assert(grad_output.shape() == mask_.shape());
   Tensor grad_input = grad_output;
   for (std::size_t i = 0; i < grad_input.size(); ++i) grad_input[i] *= mask_[i];
-  return grad_input;
-}
-
-Tensor LeakyReLU::forward(const Tensor& input, bool training) {
-  if (training) cached_input_ = input;
-  Tensor output = input;
-  for (std::size_t i = 0; i < output.size(); ++i) {
-    if (output[i] < 0.0F) output[i] *= slope_;
-  }
-  return output;
-}
-
-Tensor LeakyReLU::backward(const Tensor& grad_output) {
-  assert(grad_output.shape() == cached_input_.shape());
-  Tensor grad_input = grad_output;
-  for (std::size_t i = 0; i < grad_input.size(); ++i) {
-    if (cached_input_[i] < 0.0F) grad_input[i] *= slope_;
-  }
-  return grad_input;
-}
-
-std::string LeakyReLU::name() const {
-  return "LeakyReLU(" + std::to_string(slope_) + ")";
-}
-
-Tensor Tanh::forward(const Tensor& input, bool training) {
-  Tensor output = input;
-  for (std::size_t i = 0; i < output.size(); ++i) output[i] = std::tanh(output[i]);
-  if (training) cached_output_ = output;
-  return output;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-  assert(grad_output.shape() == cached_output_.shape());
-  Tensor grad_input = grad_output;
-  for (std::size_t i = 0; i < grad_input.size(); ++i) {
-    grad_input[i] *= 1.0F - cached_output_[i] * cached_output_[i];
-  }
   return grad_input;
 }
 

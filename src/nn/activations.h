@@ -17,32 +17,4 @@ class ReLU : public Layer {
   tensor::Tensor mask_;  // 1 where input > 0
 };
 
-/// Leaky ReLU with configurable negative slope.
-class LeakyReLU : public Layer {
- public:
-  explicit LeakyReLU(float negative_slope = 0.01F) : slope_(negative_slope) {}
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  std::unique_ptr<Layer> clone() const override {
-    return std::make_unique<LeakyReLU>(slope_);
-  }
-  std::string name() const override;
-
- private:
-  float slope_;
-  tensor::Tensor cached_input_;
-};
-
-/// Hyperbolic tangent.
-class Tanh : public Layer {
- public:
-  tensor::Tensor forward(const tensor::Tensor& input, bool training) override;
-  tensor::Tensor backward(const tensor::Tensor& grad_output) override;
-  std::unique_ptr<Layer> clone() const override { return std::make_unique<Tanh>(); }
-  std::string name() const override { return "Tanh"; }
-
- private:
-  tensor::Tensor cached_output_;
-};
-
 }  // namespace helcfl::nn

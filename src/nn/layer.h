@@ -6,8 +6,8 @@
 //   3. dx = backward(dy)                   -- accumulates parameter gradients
 //   4. optimizer steps over params()
 //
-// forward(x, /*training=*/false) must not perturb results (e.g. dropout
-// becomes identity) and may skip caching.
+// forward(x, /*training=*/false) computes the same output as a training
+// pass but may skip caching.
 #pragma once
 
 #include <memory>
@@ -26,7 +26,7 @@ class Layer;
 /// Both spans alias storage owned by the layer and remain valid while the
 /// layer is alive and not moved.  `owner`, when set, points at the layer
 /// whose cached derived state (prepacked weight panels) must be
-/// invalidated after writing `value` — the optimizers call
+/// invalidated after writing `value` — nn::Sgd calls
 /// owner->mark_weights_dirty() after every step, so a step-then-forward
 /// sequence never reads stale panels even without an intervening
 /// zero_grad.  Layers with no derived state may leave it null.
@@ -55,27 +55,25 @@ class Layer {
   /// Trainable parameters (empty for stateless layers).
   virtual std::vector<ParamRef> params() { return {}; }
 
-  /// Deep copy of this layer, including parameters and persistent
-  /// (non-trainable) state.  The parallel trainer clones one model replica
-  /// per worker thread so concurrent clients never share layer storage.
+  /// Deep copy of this layer, including parameters.  The parallel trainer
+  /// clones one model replica per worker thread so concurrent clients never
+  /// share layer storage.
   /// Layers that cannot be replicated may keep the throwing default, but
   /// every layer shipped in src/nn overrides it.
   virtual std::unique_ptr<Layer> clone() const {
     throw std::logic_error(name() + ": clone() not supported");
   }
 
-  /// Mutable views of persistent non-trainable state that training-mode
-  /// forward passes update (e.g. BatchNorm running statistics).  Unlike
-  /// params(), these buffers do not travel through FedAvg; the parallel
-  /// trainer snapshots and restores them per client so results are
-  /// independent of the worker a client lands on.  Empty by default.
+  /// No layer in src/nn holds non-trainable state and nothing in src/
+  /// calls this.  It stays declared only because perfbench/fl_workload.cpp's
+  /// TimedLayer wrapper overrides it.
   virtual std::vector<std::span<float>> state_buffers() { return {}; }
 
   /// Invalidates any cached derived form of this layer's parameters — the
   /// prepacked GEMM weight panels of Dense/Conv2D (tensor::PackedWeights).
   /// Contract: every code path that writes parameter storage must reach
   /// this before the next forward().  The standard mutation paths do so
-  /// automatically: nn::load_parameters() calls it, the optimizers call it
+  /// automatically: nn::load_parameters() calls it, nn::Sgd calls it
   /// through ParamRef::owner after every step, and zero_grad() calls it as
   /// a belt-and-braces sweep at the top of each training iteration.  Code
   /// that pokes params() spans directly — e.g. a finite-difference

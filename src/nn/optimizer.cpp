@@ -1,7 +1,6 @@
 #include "nn/optimizer.h"
 
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 
 namespace helcfl::nn {
@@ -24,7 +23,7 @@ void Sgd::step(const std::vector<ParamRef>& params) {
     auto grad = params[i].grad;
     assert(value.size() == grad.size());
     for (std::size_t j = 0; j < value.size(); ++j) {
-      float g = grad[j] + options_.weight_decay * value[j];
+      float g = grad[j];
       if (use_momentum) {
         auto& v = velocity_[i];
         assert(v.size() == value.size());
@@ -40,78 +39,5 @@ void Sgd::step(const std::vector<ParamRef>& params) {
     if (p.owner != nullptr) p.owner->mark_weights_dirty();
   }
 }
-
-void Sgd::reset_state() { velocity_.clear(); }
-
-Adam::Adam(Options options) : options_(options) {
-  if (options.beta1 < 0.0F || options.beta1 >= 1.0F || options.beta2 < 0.0F ||
-      options.beta2 >= 1.0F) {
-    throw std::invalid_argument("Adam: betas must be in [0, 1)");
-  }
-  if (options.epsilon <= 0.0F) {
-    throw std::invalid_argument("Adam: epsilon must be positive");
-  }
-}
-
-void Adam::step(const std::vector<ParamRef>& params) {
-  if (first_moment_.empty()) {
-    first_moment_.resize(params.size());
-    second_moment_.resize(params.size());
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      first_moment_[i].assign(params[i].value.size(), 0.0F);
-      second_moment_[i].assign(params[i].value.size(), 0.0F);
-    }
-  } else if (first_moment_.size() != params.size()) {
-    throw std::invalid_argument("Adam::step: parameter list changed size");
-  }
-
-  ++step_count_;
-  const double bias1 = 1.0 - std::pow(options_.beta1, static_cast<double>(step_count_));
-  const double bias2 = 1.0 - std::pow(options_.beta2, static_cast<double>(step_count_));
-
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    auto value = params[i].value;
-    auto grad = params[i].grad;
-    auto& m = first_moment_[i];
-    auto& v = second_moment_[i];
-    assert(value.size() == grad.size() && value.size() == m.size());
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      const float g = grad[j] + options_.weight_decay * value[j];
-      m[j] = options_.beta1 * m[j] + (1.0F - options_.beta1) * g;
-      v[j] = options_.beta2 * v[j] + (1.0F - options_.beta2) * g * g;
-      const double m_hat = static_cast<double>(m[j]) / bias1;
-      const double v_hat = static_cast<double>(v[j]) / bias2;
-      value[j] -= static_cast<float>(options_.learning_rate * m_hat /
-                                     (std::sqrt(v_hat) + options_.epsilon));
-    }
-  }
-  for (const auto& p : params) {
-    if (p.owner != nullptr) p.owner->mark_weights_dirty();
-  }
-}
-
-void Adam::reset_state() {
-  first_moment_.clear();
-  second_moment_.clear();
-  step_count_ = 0;
-}
-
-namespace schedule {
-
-double constant(double base, std::size_t /*step*/) { return base; }
-
-double step_decay(double base, double gamma, std::size_t every, std::size_t step) {
-  if (every == 0) throw std::invalid_argument("step_decay: every must be > 0");
-  return base * std::pow(gamma, static_cast<double>(step / every));
-}
-
-double cosine(double base, double floor, std::size_t total_steps, std::size_t step) {
-  if (total_steps == 0) throw std::invalid_argument("cosine: total_steps must be > 0");
-  if (step >= total_steps) return floor;
-  const double progress = static_cast<double>(step) / static_cast<double>(total_steps);
-  return floor + 0.5 * (base - floor) * (1.0 + std::cos(progress * 3.14159265358979));
-}
-
-}  // namespace schedule
 
 }  // namespace helcfl::nn

@@ -1,4 +1,4 @@
-// Gradient-descent optimizers over a model's ParamRefs.
+// Gradient-descent optimizer over a model's ParamRefs.
 #pragma once
 
 #include <vector>
@@ -7,16 +7,16 @@
 
 namespace helcfl::nn {
 
-/// Plain SGD with optional momentum and L2 weight decay.
+/// Plain SGD with optional momentum.
 ///
-/// With momentum = 0 and weight_decay = 0 this is exactly the gradient
-/// descent step of the paper's Eq. (3): w <- w - lr * grad.
+/// With momentum = 0 this is exactly the gradient descent step of the
+/// paper's Eq. (3): w <- w - lr * grad.  fl::local_update builds a fresh
+/// Sgd for every update, so momentum state never outlives one update.
 class Sgd {
  public:
   struct Options {
     float learning_rate = 0.01F;
     float momentum = 0.0F;
-    float weight_decay = 0.0F;
   };
 
   explicit Sgd(Options options) : options_(options) {}
@@ -25,59 +25,9 @@ class Sgd {
   /// position, so the same parameter list must be passed on every call.
   void step(const std::vector<ParamRef>& params);
 
-  /// Drops momentum state; call when the underlying weights are replaced
-  /// wholesale (e.g. after receiving a new global FL model).
-  void reset_state();
-
-  const Options& options() const { return options_; }
-  void set_learning_rate(float lr) { options_.learning_rate = lr; }
-
  private:
   Options options_;
   std::vector<std::vector<float>> velocity_;  // one buffer per param tensor
 };
-
-/// Adam (Kingma & Ba, 2015) with decoupled L2 weight decay.
-class Adam {
- public:
-  struct Options {
-    float learning_rate = 1e-3F;
-    float beta1 = 0.9F;
-    float beta2 = 0.999F;
-    float epsilon = 1e-8F;
-    float weight_decay = 0.0F;
-  };
-
-  explicit Adam(Options options);
-
-  /// Applies one update step; the same parameter list must be passed on
-  /// every call (moment buffers are keyed by position).
-  void step(const std::vector<ParamRef>& params);
-
-  /// Drops the moment estimates and the step counter.
-  void reset_state();
-
-  const Options& options() const { return options_; }
-
- private:
-  Options options_;
-  std::size_t step_count_ = 0;
-  std::vector<std::vector<float>> first_moment_;
-  std::vector<std::vector<float>> second_moment_;
-};
-
-/// Learning-rate schedules mapping a 0-based step index to a rate.
-namespace schedule {
-
-/// base for every step.
-double constant(double base, std::size_t step);
-
-/// base * gamma^(step / every): staircase decay.
-double step_decay(double base, double gamma, std::size_t every, std::size_t step);
-
-/// Cosine annealing from base to floor over total_steps, then floor.
-double cosine(double base, double floor, std::size_t total_steps, std::size_t step);
-
-}  // namespace schedule
 
 }  // namespace helcfl::nn

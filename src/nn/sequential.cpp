@@ -42,14 +42,6 @@ std::unique_ptr<Layer> Sequential::clone() const {
   return std::make_unique<Sequential>(*this);
 }
 
-std::vector<std::span<float>> Sequential::state_buffers() {
-  std::vector<std::span<float>> all;
-  for (auto& layer : layers_) {
-    for (auto& s : layer->state_buffers()) all.push_back(s);
-  }
-  return all;
-}
-
 std::string Sequential::name() const {
   std::string out = "Sequential[";
   for (std::size_t i = 0; i < layers_.size(); ++i) {

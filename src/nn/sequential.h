@@ -32,7 +32,6 @@ class Sequential : public Layer {
   tensor::Tensor backward(const tensor::Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
-  std::vector<std::span<float>> state_buffers() override;
   void mark_weights_dirty() override {
     for (auto& layer : layers_) layer->mark_weights_dirty();
   }

@@ -46,32 +46,4 @@ std::vector<float> extract_gradients(Layer& model) {
 
 std::size_t model_size_bits(Layer& model) { return parameter_count(model) * 32; }
 
-std::size_t state_count(Layer& model) {
-  std::size_t total = 0;
-  for (const auto& s : model.state_buffers()) total += s.size();
-  return total;
-}
-
-std::vector<float> extract_state(Layer& model) {
-  std::vector<float> flat;
-  flat.reserve(state_count(model));
-  for (const auto& s : model.state_buffers()) {
-    flat.insert(flat.end(), s.begin(), s.end());
-  }
-  return flat;
-}
-
-void load_state(Layer& model, std::span<const float> flat) {
-  const std::size_t expected = state_count(model);
-  if (flat.size() != expected) {
-    throw std::invalid_argument("load_state: expected " + std::to_string(expected) +
-                                " values, got " + std::to_string(flat.size()));
-  }
-  std::size_t offset = 0;
-  for (const auto& s : model.state_buffers()) {
-    for (std::size_t i = 0; i < s.size(); ++i) s[i] = flat[offset + i];
-    offset += s.size();
-  }
-}
-
 }  // namespace helcfl::nn

@@ -29,18 +29,4 @@ std::vector<float> extract_gradients(Layer& model);
 /// is the C_model of the paper's Eq. (7).
 std::size_t model_size_bits(Layer& model);
 
-/// Total number of persistent non-trainable scalars (Layer::state_buffers),
-/// e.g. BatchNorm running statistics.  0 for stateless-training models.
-std::size_t state_count(Layer& model);
-
-/// Copies all persistent state into one flat vector (layer order, then
-/// buffer order within the layer — the same fixed walk as parameters).
-std::vector<float> extract_state(Layer& model);
-
-/// Overwrites all persistent state from `flat`.  Throws std::invalid_argument
-/// if the size does not match state_count(model).  The parallel trainer uses
-/// extract/load_state to give every client the same round-start state no
-/// matter which worker thread it runs on.
-void load_state(Layer& model, std::span<const float> flat);
-
 }  // namespace helcfl::nn

@@ -21,19 +21,12 @@ void scale_inplace(std::span<float> y, float s) {
   for (auto& v : y) v *= s;
 }
 
-void axpy(float a, std::span<const float> x, std::span<float> y) {
-  assert(y.size() == x.size());
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] += a * x[i];
-}
-
 double dot(std::span<const float> a, std::span<const float> b) {
   assert(a.size() == b.size());
   double sum = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) sum += static_cast<double>(a[i]) * b[i];
   return sum;
 }
-
-double squared_norm(std::span<const float> a) { return dot(a, a); }
 
 // Every GEMM variant below fills one detail::GemmArgs descriptor and hands
 // it to detail::run_gemm, which shards output rows across the kernel pool
@@ -47,15 +40,6 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
   assert(a.size() == m * k && b.size() == k * n && c.size() == m * n);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data()};
-  detail::run_gemm(args);
-}
-
-void gemm_accumulate(std::size_t m, std::size_t k, std::size_t n,
-                     std::span<const float> a, std::span<const float> b,
-                     std::span<float> c) {
-  assert(a.size() == m * k && b.size() == k * n && c.size() == m * n);
-  detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
-                        .c = c.data(), .accumulate = true};
   detail::run_gemm(args);
 }
 

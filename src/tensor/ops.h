@@ -10,9 +10,9 @@
 // tracing, and call history — so results are bitwise deterministic for a
 // given machine.  Expected rounding error against an exact product is
 // O(k) ulp; the layer gradchecks budget for it with tolerances >= 1e-2.
-// The non-GEMM reductions (dot, squared_norm) accumulate in double, as
-// does softmax_cross_entropy's log-sum-exp: they feed metrics and loss
-// values where drift across long sums would be visible.
+// The non-GEMM reduction (dot) accumulates in double, as does
+// softmax_cross_entropy's log-sum-exp: they feed metrics and loss values
+// where drift across long sums would be visible.
 #pragma once
 
 #include <cstddef>
@@ -34,23 +34,12 @@ void sub_inplace(std::span<float> y, std::span<const float> x);
 /// y[i] *= s.
 void scale_inplace(std::span<float> y, float s);
 
-/// y[i] += a * x[i].
-void axpy(float a, std::span<const float> x, std::span<float> y);
-
 /// Inner product.
 double dot(std::span<const float> a, std::span<const float> b);
-
-/// Squared L2 norm.
-double squared_norm(std::span<const float> a);
 
 /// C[M,N] = A[M,K] * B[K,N].  C is overwritten.
 void gemm(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
           std::span<const float> b, std::span<float> c);
-
-/// C[M,N] += A[M,K] * B[K,N].
-void gemm_accumulate(std::size_t m, std::size_t k, std::size_t n,
-                     std::span<const float> a, std::span<const float> b,
-                     std::span<float> c);
 
 /// C[M,N] = A[M,K] * B[K,N] + bias[i] broadcast across row i.  The bias
 /// lands in the kernel's store pass (no second sweep over C); Conv2D's

@@ -27,11 +27,8 @@ inline double weighted_sum(const tensor::Tensor& y, std::span<const float> w) {
 /// Checks dL/dInput and all dL/dParam of `layer` at input `x` by central
 /// differences with step `eps`.  `tolerance` is the max allowed absolute
 /// error, compared against gradients normalized by max(1, |analytic|).
-/// When `fd_training` is true the finite-difference evaluations use
-/// training-mode forwards; required for layers whose inference path is a
-/// different function (BatchNorm's running statistics).
 inline void check_gradients(nn::Layer& layer, tensor::Tensor x, double eps = 1e-3,
-                            double tolerance = 2e-2, bool fd_training = false) {
+                            double tolerance = 2e-2) {
   util::Rng rng(0xC0FFEE);
 
   // Fixed output weighting.
@@ -51,9 +48,9 @@ inline void check_gradients(nn::Layer& layer, tensor::Tensor x, double eps = 1e-
   for (std::size_t i = 0; i < x.size(); ++i) {
     const float saved = x[i];
     x[i] = saved + static_cast<float>(eps);
-    const double plus = weighted_sum(layer.forward(x, fd_training), w);
+    const double plus = weighted_sum(layer.forward(x, /*training=*/false), w);
     x[i] = saved - static_cast<float>(eps);
-    const double minus = weighted_sum(layer.forward(x, fd_training), w);
+    const double minus = weighted_sum(layer.forward(x, /*training=*/false), w);
     x[i] = saved;
     const double numeric = (plus - minus) / (2.0 * eps);
     const double denom = std::max(1.0, std::abs(static_cast<double>(dx[i])));
@@ -74,10 +71,10 @@ inline void check_gradients(nn::Layer& layer, tensor::Tensor x, double eps = 1e-
       const float saved = value[i];
       value[i] = saved + static_cast<float>(eps);
       layer.mark_weights_dirty();
-      const double plus = weighted_sum(layer.forward(x, fd_training), w);
+      const double plus = weighted_sum(layer.forward(x, /*training=*/false), w);
       value[i] = saved - static_cast<float>(eps);
       layer.mark_weights_dirty();
-      const double minus = weighted_sum(layer.forward(x, fd_training), w);
+      const double minus = weighted_sum(layer.forward(x, /*training=*/false), w);
       value[i] = saved;
       layer.mark_weights_dirty();
       const double numeric = (plus - minus) / (2.0 * eps);

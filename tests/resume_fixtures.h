@@ -18,6 +18,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -25,6 +26,7 @@
 
 #include "core/helcfl_scheduler.h"
 #include "fl/async_trainer.h"
+#include "fl/checkpoint.h"
 #include "fl/metrics.h"
 #include "fl/trainer.h"
 #include "fl_fixtures.h"
@@ -319,6 +321,48 @@ inline void expect_bitwise_resume(const std::filesystem::path& dir,
   const std::vector<std::string> golden_suffix = canonical_trace(golden.trace, trace_seq);
   EXPECT_FALSE(golden_suffix.empty());  // the comparison must not be vacuous
   EXPECT_EQ(golden_suffix, canonical_trace(resumed.trace, 0));
+}
+
+/// Resumes `options.resume_from` on one model and strategy, which must fail
+/// with a CheckpointError containing `message_piece`.  Then it runs a new
+/// trainer without resume on that same model and strategy, and checks the
+/// run equals a fresh one: a rejected resume commits nothing to what it
+/// borrowed.  `async` selects fl::AsyncTrainer; nullopt is FederatedTrainer.
+inline void expect_rejected_resume_then_fresh_run(
+    const ResumeWorld& world, const std::string& strategy_name, fl::TrainerOptions options,
+    const std::string& message_piece, const std::optional<fl::AsyncOptions>& async) {
+  util::Rng model_rng(92);
+  const std::unique_ptr<nn::Sequential> model = nn::make_model(
+      nn::ModelKind::kLogistic, world.split.train.spec(), 10, model_rng);
+  const std::unique_ptr<sched::SelectionStrategy> strategy =
+      make_resume_strategy(strategy_name);
+  const auto run = [&](const fl::TrainerOptions& run_options) {
+    if (async) {
+      fl::AsyncTrainer trainer(*model, world.split.train, world.split.test,
+                               world.partition, world.devices, paper_channel(),
+                               *strategy, run_options, *async);
+      return trainer.run();
+    }
+    fl::FederatedTrainer trainer(*model, world.split.train, world.split.test,
+                                 world.partition, world.devices, paper_channel(),
+                                 *strategy, run_options);
+    return trainer.run();
+  };
+
+  try {
+    run(options);
+    ADD_FAILURE() << "resumed from " << options.resume_from;
+  } catch (const fl::CheckpointError& error) {
+    EXPECT_NE(std::string(error.what()).find(message_piece), std::string::npos)
+        << "got: " << error.what();
+  }
+
+  options.resume_from.clear();
+  const fl::TrainingHistory later = run(options);
+  const ResumeRun fresh = async ? run_async_case(world, strategy_name, options, *async)
+                                : run_resume_case(world, strategy_name, options);
+  EXPECT_EQ(nn::extract_parameters(*model), fresh.final_weights);
+  expect_history_identical(fresh.history, later);
 }
 
 }  // namespace helcfl::testing

@@ -54,58 +54,9 @@ TEST(ReLU, PreservesShape) {
   EXPECT_EQ(y.shape(), Shape({2, 3, 4, 5}));
 }
 
-TEST(LeakyReLU, AppliesSlopeToNegatives) {
-  LeakyReLU leaky(0.1F);
-  Tensor x(Shape{2}, {-2.0F, 3.0F});
-  const Tensor y = leaky.forward(x, false);
-  EXPECT_FLOAT_EQ(y[0], -0.2F);
-  EXPECT_FLOAT_EQ(y[1], 3.0F);
-}
-
-TEST(LeakyReLU, BackwardScalesNegatives) {
-  LeakyReLU leaky(0.1F);
-  Tensor x(Shape{2}, {-2.0F, 3.0F});
-  (void)leaky.forward(x, true);
-  Tensor dy(Shape{2}, {1.0F, 1.0F});
-  const Tensor dx = leaky.backward(dy);
-  EXPECT_FLOAT_EQ(dx[0], 0.1F);
-  EXPECT_FLOAT_EQ(dx[1], 1.0F);
-}
-
-TEST(LeakyReLU, GradientCheck) {
-  LeakyReLU leaky(0.2F);
-  testing::check_gradients(leaky, away_from_kinks(Shape{3, 5}, 2));
-}
-
-TEST(Tanh, MatchesStdTanh) {
-  Tanh tanh_layer;
-  Tensor x(Shape{3}, {-1.0F, 0.0F, 2.0F});
-  const Tensor y = tanh_layer.forward(x, false);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_NEAR(y[i], std::tanh(x[i]), 1e-6F);
-  }
-}
-
-TEST(Tanh, SaturatesToUnitRange) {
-  Tanh tanh_layer;
-  Tensor x(Shape{2}, {-100.0F, 100.0F});
-  const Tensor y = tanh_layer.forward(x, false);
-  EXPECT_NEAR(y[0], -1.0F, 1e-6F);
-  EXPECT_NEAR(y[1], 1.0F, 1e-6F);
-}
-
-TEST(Tanh, GradientCheck) {
-  Tanh tanh_layer;
-  testing::check_gradients(tanh_layer, testing::random_input(Shape{2, 6}, 3));
-}
-
 TEST(Activations, StatelessLayersHaveNoParams) {
   ReLU relu;
-  LeakyReLU leaky(0.1F);
-  Tanh tanh_layer;
   EXPECT_TRUE(relu.params().empty());
-  EXPECT_TRUE(leaky.params().empty());
-  EXPECT_TRUE(tanh_layer.params().empty());
 }
 
 }  // namespace

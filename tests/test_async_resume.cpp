@@ -12,7 +12,8 @@
 // async engine and vice versa), and the parse-then-commit discipline — a
 // truncated, gutted or inconsistent async frame is rejected with the
 // trainer (and its model) untouched.  Buffered records are parsed exactly
-// like in-flight ones, so they get the same id and version checks.
+// like in-flight ones, so they get the same id and version checks.  A
+// snapshot carrying persistent model state, which no model has, is refused.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -477,6 +479,61 @@ TEST(AsyncResume, BufferedRecordsGetTheInFlightIdChecks) {
   expect_rejected_resume_leaves_model_untouched(
       with_buffered_id(in_flight_id, "buffered_repeats_in_flight.bin"),
       "repeats buffered dispatch id " + std::to_string(in_flight_id));
+}
+
+// No layer has persistent non-trainable state: the checkpoint's model_state
+// and every dispatch record's state vector are written empty, and resume
+// refuses a snapshot that carries either.
+TEST(AsyncResume, NonEmptyPersistentStateIsRejected) {
+  const std::filesystem::path dir = testing::resume_tmp_dir("async_model_state");
+  TrainerOptions golden_options = testing::resume_options(/*faults=*/true, 1);
+  golden_options.checkpoint_every = 3;
+  golden_options.checkpoint_path = (dir / "ckpt_r{round}.bin").string();
+  testing::run_async_case(world(), "HELCFL", golden_options, fedbuff_engine());
+
+  std::optional<Checkpoint> good;
+  FrameIds ids;
+  for (const std::filesystem::path& path : cadence_files(dir)) {
+    Checkpoint ckpt = Checkpoint::read_file(path.string());
+    ids = frame_ids(ckpt.async_state);
+    if (!ids.in_flight.empty()) {
+      good = std::move(ckpt);
+      break;
+    }
+  }
+  ASSERT_TRUE(good.has_value()) << "no snapshot holds an in-flight record";
+  ASSERT_TRUE(good->model_state.empty());
+
+  TrainerOptions options = testing::resume_options(/*faults=*/true, 1);
+  {
+    Checkpoint bad = *good;
+    bad.model_state = {0.5F, -0.25F, 1.0F};
+    options.resume_from = (dir / "model_state.bin").string();
+    bad.write_file(options.resume_from);
+    testing::expect_rejected_resume_then_fresh_run(
+        world(), "HELCFL", options,
+        "saved model has 3 persistent state scalars, this trainer's model has 0",
+        fedbuff_engine());
+  }
+  {
+    // The state vector closes the record: rewrite its empty length prefix
+    // as one float and splice that float in after it.
+    util::ByteReader record(
+        std::span<const std::uint8_t>(good->async_state).subspan(ids.in_flight.front()));
+    skip_dispatch(record);
+    const std::size_t state_at = good->async_state.size() - record.remaining() - 8;
+    ASSERT_EQ(get_u64(good->async_state, state_at), 0U);
+    Checkpoint bad = *good;
+    bad.async_state[state_at] = 1;
+    bad.async_state.insert(bad.async_state.begin() + static_cast<std::ptrdiff_t>(state_at + 8),
+                           4, std::uint8_t{0});
+    options.resume_from = (dir / "record_state.bin").string();
+    bad.write_file(options.resume_from);
+    testing::expect_rejected_resume_then_fresh_run(
+        world(), "HELCFL", options,
+        "async state holds a dispatch record with 1 persistent state scalars",
+        fedbuff_engine());
+  }
 }
 
 }  // namespace

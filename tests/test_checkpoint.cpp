@@ -218,6 +218,24 @@ TEST(CheckpointAdversarial, FailedResumeLeavesNoPartialRestore) {
   testing::expect_history_identical(golden.history, rerun.history);
 }
 
+// No layer has persistent non-trainable state, so model_state is always
+// written empty; a file that carries some is refused before any commit.
+TEST(CheckpointAdversarial, NonEmptyModelStateIsRejected) {
+  const std::filesystem::path dir = testing::resume_tmp_dir("model_state");
+  Checkpoint bad = golden_checkpoint().parsed;
+  ASSERT_TRUE(bad.model_state.empty());
+  bad.model_state = {0.5F, -0.25F};
+  const std::string path = (dir / "model_state.ckpt").string();
+  bad.write_file(path);
+
+  TrainerOptions options = testing::resume_options(/*faults=*/true, 1);
+  options.resume_from = path;
+  testing::expect_rejected_resume_then_fresh_run(
+      world(), "HELCFL", options,
+      "saved model has 2 persistent state scalars, this trainer's model has 0",
+      std::nullopt);
+}
+
 // --- strategy state property tests -------------------------------------
 
 // Drives a strategy through `rounds` decide/observe/report cycles on a

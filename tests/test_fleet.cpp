@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-
-#include "util/stats.h"
+#include <numeric>
 
 namespace helcfl::sim {
 namespace {
@@ -66,9 +66,10 @@ TEST(Fleet, FrequenciesAreHeterogeneous) {
   std::vector<double> fmax;
   for (const auto& d : fleet) fmax.push_back(d.f_max_hz);
   // Spread should span most of the (0.3, 2.0) GHz interval.
-  EXPECT_LT(util::min_value(fmax), 0.5e9);
-  EXPECT_GT(util::max_value(fmax), 1.8e9);
-  EXPECT_NEAR(util::mean(fmax), (0.3e9 + 2.0e9) / 2.0, 0.1e9);
+  EXPECT_LT(*std::min_element(fmax.begin(), fmax.end()), 0.5e9);
+  EXPECT_GT(*std::max_element(fmax.begin(), fmax.end()), 1.8e9);
+  EXPECT_NEAR(std::accumulate(fmax.begin(), fmax.end(), 0.0) / static_cast<double>(fmax.size()),
+              (0.3e9 + 2.0e9) / 2.0, 0.1e9);
 }
 
 TEST(Fleet, DeterministicGivenRngState) {

@@ -33,22 +33,10 @@ TEST(Ops, ScaleInplace) {
   EXPECT_EQ(y, (std::vector<float>{-2, 4, -6}));
 }
 
-TEST(Ops, Axpy) {
-  std::vector<float> y = {1, 1, 1};
-  const std::vector<float> x = {1, 2, 3};
-  axpy(0.5F, x, y);
-  EXPECT_EQ(y, (std::vector<float>{1.5F, 2.0F, 2.5F}));
-}
-
 TEST(Ops, Dot) {
   const std::vector<float> a = {1, 2, 3};
   const std::vector<float> b = {4, 5, 6};
   EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
-}
-
-TEST(Ops, SquaredNorm) {
-  const std::vector<float> a = {3, 4};
-  EXPECT_DOUBLE_EQ(squared_norm(a), 25.0);
 }
 
 TEST(Ops, GemmIdentity) {
@@ -74,14 +62,6 @@ TEST(Ops, GemmOverwritesOutput) {
   std::vector<float> c = {100};
   gemm(1, 1, 1, a, b, c);
   EXPECT_EQ(c[0], 2.0F);
-}
-
-TEST(Ops, GemmAccumulateAddsToOutput) {
-  const std::vector<float> a = {1};
-  const std::vector<float> b = {2};
-  std::vector<float> c = {100};
-  gemm_accumulate(1, 1, 1, a, b, c);
-  EXPECT_EQ(c[0], 102.0F);
 }
 
 TEST(Ops, GemmAtBMatchesExplicitTranspose) {
@@ -214,11 +194,6 @@ TEST(OpsKernel, AllVariantsMatchNaiveReferenceAcrossShapeSweep) {
     expect_near_all(out, reference_gemm(c, a, b, false, false, nullptr, nullptr, nullptr),
                     tol, "gemm", c);
 
-    std::vector<float> acc = seed_c;
-    gemm_accumulate(c.m, c.k, c.n, a, b, acc);
-    expect_near_all(acc, reference_gemm(c, a, b, false, false, &seed_c, nullptr, nullptr),
-                    tol, "gemm_accumulate", c);
-
     std::vector<float> with_bias(c.m * c.n, -7.0F);
     gemm_bias_rows(c.m, c.k, c.n, a, b, bias_m, with_bias);
     expect_near_all(with_bias,
@@ -277,10 +252,6 @@ TEST(OpsKernel, KZeroOverwritesWithZeroOrBias) {
   c = {9.0F, 9.0F, 9.0F, 9.0F};
   gemm_a_bt_bias_cols(2, 0, 2, empty, empty, bias, c);
   EXPECT_EQ(c, (std::vector<float>{5.0F, -1.0F, 5.0F, -1.0F}));
-
-  c = {1.0F, 2.0F, 3.0F, 4.0F};
-  gemm_accumulate(2, 0, 2, empty, empty, c);
-  EXPECT_EQ(c, (std::vector<float>{1.0F, 2.0F, 3.0F, 4.0F}));
 }
 
 TEST(OpsKernel, KernelIsaIsReported) {

@@ -41,25 +41,6 @@ TEST(Sgd, MomentumAccumulatesVelocity) {
   EXPECT_FLOAT_EQ(w[0], -4.25F);
 }
 
-TEST(Sgd, ResetStateClearsVelocity) {
-  std::vector<float> w = {0.0F};
-  std::vector<float> g = {1.0F};
-  Sgd sgd({.learning_rate = 1.0F, .momentum = 0.9F});
-  sgd.step(make_refs(w, g));
-  sgd.reset_state();
-  w[0] = 0.0F;
-  sgd.step(make_refs(w, g));
-  EXPECT_FLOAT_EQ(w[0], -1.0F);  // fresh velocity, not 1.9
-}
-
-TEST(Sgd, WeightDecayPullsTowardZero) {
-  std::vector<float> w = {10.0F};
-  std::vector<float> g = {0.0F};
-  Sgd sgd({.learning_rate = 0.1F, .weight_decay = 0.5F});
-  sgd.step(make_refs(w, g));
-  EXPECT_FLOAT_EQ(w[0], 10.0F - 0.1F * 0.5F * 10.0F);
-}
-
 TEST(Sgd, MultipleParamTensors) {
   std::vector<float> w1 = {1.0F};
   std::vector<float> g1 = {1.0F};
@@ -84,12 +65,6 @@ TEST(Sgd, MomentumRejectsChangedParamList) {
   std::vector<ParamRef> two = {{std::span<float>(w), std::span<float>(g)},
                                {std::span<float>(w2), std::span<float>(g2)}};
   EXPECT_THROW(sgd.step(two), std::invalid_argument);
-}
-
-TEST(Sgd, SetLearningRate) {
-  Sgd sgd({.learning_rate = 0.1F});
-  sgd.set_learning_rate(0.01F);
-  EXPECT_FLOAT_EQ(sgd.options().learning_rate, 0.01F);
 }
 
 TEST(Sgd, ConvergesOnQuadratic) {

@@ -7,20 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <thread>
 
 #include "core/helcfl_scheduler.h"
 #include "fl/server.h"
 #include "fl/trainer.h"
 #include "fl_fixtures.h"
-#include "nn/activations.h"
-#include "nn/batchnorm.h"
-#include "nn/dense.h"
-#include "nn/flatten.h"
 #include "nn/models.h"
 #include "nn/serialize.h"
 #include "sched/fedcs.h"
 #include "sched/random_selection.h"
+#include "sim/report.h"
 #include "sim/simulation.h"
 #include "util/thread_pool.h"
 
@@ -32,7 +32,9 @@ struct RunResult {
   std::vector<float> final_weights;
 };
 
-class ParallelTrainerTest : public ::testing::Test {
+/// TEST_F cases ignore the parameter; EveryZooModelIsThreadCountInvariant
+/// runs once per model-zoo kind.
+class ParallelTrainerTest : public ::testing::TestWithParam<nn::ModelKind> {
  protected:
   void SetUp() override {
     split_ = testing::tiny_split(400, 100, 60);
@@ -163,34 +165,43 @@ TEST_F(ParallelTrainerTest, AutoThreadCountMatchesSequential) {
   expect_identical(sequential, automatic);
 }
 
-TEST_F(ParallelTrainerTest, BatchNormStateIsThreadCountInvariant) {
-  // BatchNorm running statistics are persistent non-FedAvg state; the
-  // engine snapshots them at round start and restores them per client, so
-  // even a stateful model is bitwise reproducible across worker counts.
-  const auto make_bn_model = [this] {
-    util::Rng rng(63);
-    auto model = std::make_unique<nn::Sequential>();
-    model->emplace<nn::Flatten>();
-    model->emplace<nn::Dense>(split_.train.spec().flat_features(), 24, rng);
-    model->emplace<nn::BatchNorm>(24);
-    model->emplace<nn::ReLU>();
-    model->emplace<nn::Dense>(24, 10, rng);
-    return model;
+TEST_P(ParallelTrainerTest, EveryZooModelIsThreadCountInvariant) {
+  // DESIGN.md §7 has no layer exception: every model-zoo architecture
+  // trains to the same weights and CSV bytes on 1 and 4 worker threads.
+  const nn::ModelKind kind = GetParam();
+  const auto run_with_threads = [&](std::size_t num_threads) {
+    util::Rng model_rng(65);
+    auto model = nn::make_model(kind, split_.train.spec(), 10, model_rng);
+    util::Rng rng(74);
+    sched::RandomSelection strategy(0.4, rng);
+    TrainerOptions options = options_with_threads(num_threads);
+    options.max_rounds = 4;
+    const RunResult result = run(*model, strategy, options);
+
+    const std::string path = ::testing::TempDir() + "zoo_" + nn::model_kind_name(kind) +
+                             "_threads_" + std::to_string(num_threads) + ".csv";
+    sim::write_history_csv(path, result.history);
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream csv;
+    csv << in.rdbuf();
+    std::remove(path.c_str());
+    return std::pair(result, csv.str());
   };
 
-  auto m1 = make_bn_model();
-  util::Rng rng1(72);
-  sched::RandomSelection s1(0.4, rng1);
-  const RunResult sequential = run(*m1, s1, options_with_threads(1));
-
-  auto m8 = make_bn_model();
-  util::Rng rng8(72);
-  sched::RandomSelection s8(0.4, rng8);
-  const RunResult parallel = run(*m8, s8, options_with_threads(8));
-
+  const auto [sequential, csv1] = run_with_threads(1);
+  const auto [parallel, csv4] = run_with_threads(4);
   expect_identical(sequential, parallel);
-  EXPECT_EQ(nn::extract_state(*m1), nn::extract_state(*m8));
+  EXPECT_EQ(csv1, csv4);
+  EXPECT_FALSE(csv1.empty());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, ParallelTrainerTest,
+    ::testing::Values(nn::ModelKind::kLogistic, nn::ModelKind::kMlp,
+                      nn::ModelKind::kSmallCnn, nn::ModelKind::kMiniSqueezeNet),
+    [](const ::testing::TestParamInfo<nn::ModelKind>& info) {
+      return nn::model_kind_name(info.param);
+    });
 
 TEST_F(ParallelTrainerTest, ModelCloneIsDeepAndExact) {
   const auto model = fresh_model();

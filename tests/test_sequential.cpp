@@ -6,7 +6,6 @@
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/flatten.h"
-#include "nn/dropout.h"
 #include "nn/serialize.h"
 #include "util/rng.h"
 
@@ -52,7 +51,7 @@ TEST(Sequential, GradientCheckOfComposition) {
   util::Rng rng(3);
   Sequential model;
   model.emplace<Dense>(4, 5, rng);
-  model.emplace<Tanh>();
+  model.emplace<ReLU>();
   model.emplace<Dense>(5, 2, rng);
   testing::check_gradients(model, testing::random_input(Shape{2, 4}, 4));
 }
@@ -94,58 +93,6 @@ TEST(Sequential, LayerAccessor) {
   model.emplace<Dense>(2, 3, rng);
   EXPECT_EQ(model.layer(0).name(), "Dense(2->3)");
   EXPECT_THROW(model.layer(1), std::out_of_range);
-}
-
-TEST(Dropout, IdentityAtInference) {
-  util::Rng rng(10);
-  Dropout dropout(0.5F, rng);
-  const Tensor x = testing::random_input(Shape{4, 4}, 11);
-  const Tensor y = dropout.forward(x, false);
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(y[i], x[i]);
-}
-
-TEST(Dropout, DropsApproximatelyPFraction) {
-  util::Rng rng(12);
-  Dropout dropout(0.3F, rng);
-  Tensor x(Shape{100, 100});
-  x.fill(1.0F);
-  const Tensor y = dropout.forward(x, true);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] == 0.0F) ++zeros;
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / static_cast<double>(y.size()), 0.3, 0.02);
-}
-
-TEST(Dropout, SurvivorsAreRescaled) {
-  util::Rng rng(13);
-  Dropout dropout(0.5F, rng);
-  Tensor x(Shape{1000});
-  x.fill(1.0F);
-  const Tensor y = dropout.forward(x, true);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_TRUE(y[i] == 0.0F || y[i] == 2.0F);
-  }
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  util::Rng rng(14);
-  Dropout dropout(0.5F, rng);
-  Tensor x(Shape{100});
-  x.fill(1.0F);
-  const Tensor y = dropout.forward(x, true);
-  Tensor dy(Shape{100});
-  dy.fill(1.0F);
-  const Tensor dx = dropout.backward(dy);
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(dx[i], y[i]);  // same 0-or-2 pattern
-  }
-}
-
-TEST(Dropout, RejectsInvalidProbability) {
-  util::Rng rng(15);
-  EXPECT_THROW(Dropout(-0.1F, rng), std::invalid_argument);
-  EXPECT_THROW(Dropout(1.0F, rng), std::invalid_argument);
 }
 
 TEST(Flatten, RoundTripsThroughBackward) {
