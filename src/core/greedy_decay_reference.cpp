@@ -66,6 +66,4 @@ void GreedyDecayReference::revoke_appearance(std::size_t user) {
   if (user < counters_.size() && counters_[user] > 0) --counters_[user];
 }
 
-void GreedyDecayReference::reset() { counters_.clear(); }
-
 }  // namespace helcfl::core

@@ -33,10 +33,6 @@ class GreedyDecayReference {
 
   std::span<const std::size_t> appearance_counts() const { return counters_; }
   void revoke_appearance(std::size_t user);
-  void reset();
-
-  double fraction() const { return fraction_; }
-  double eta() const { return eta_; }
 
  private:
   double fraction_;

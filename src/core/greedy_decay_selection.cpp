@@ -73,11 +73,6 @@ void GreedyDecaySelector::revoke_appearance(std::size_t user) {
   }
 }
 
-void GreedyDecaySelector::reset() {
-  counters_.clear();
-  index_.clear();
-}
-
 void GreedyDecaySelector::save_state(util::ByteWriter& out) const {
   out.vec_size(counters_);
   index_.save(out);

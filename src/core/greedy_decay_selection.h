@@ -56,9 +56,6 @@ class GreedyDecaySelector {
   /// its Eq.-(20) utility must not decay).  No-op if the counter is 0.
   void revoke_appearance(std::size_t user);
 
-  /// Clears all counters and the utility index (start of a fresh run).
-  void reset();
-
   /// Serializes the mutable state: the appearance counters followed by the
   /// index frame (initialized flag + delay cache).  Deterministic — a pure
   /// function of the logical state, independent of heap layout.
@@ -72,9 +69,6 @@ class GreedyDecaySelector {
   /// The live utility index (uninitialized before the first select()) —
   /// read-only introspection for tests and benches.
   const UtilityIndex& index() const { return index_; }
-
-  double fraction() const { return fraction_; }
-  double eta() const { return eta_; }
 
  private:
   double fraction_;

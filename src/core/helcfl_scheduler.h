@@ -30,7 +30,6 @@ class HelcflScheduler : public sched::SelectionStrategy {
   std::string name() const override;
 
   const GreedyDecaySelector& selector() const { return selector_; }
-  const HelcflOptions& options() const { return options_; }
 
  protected:
   void do_save_state(util::ByteWriter& out) const override;

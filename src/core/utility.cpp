@@ -17,18 +17,4 @@ double utility(std::size_t appearance_count, double t_cal_s, double t_com_s,
   return std::pow(eta, static_cast<double>(appearance_count)) / total_delay;
 }
 
-std::size_t selections_until_overtaken(double fast_s, double slow_s, double eta) {
-  if (eta <= 0.0 || eta >= 1.0) {
-    throw std::invalid_argument("selections_until_overtaken: eta must be in (0, 1)");
-  }
-  if (fast_s <= 0.0 || slow_s < fast_s) {
-    throw std::invalid_argument(
-        "selections_until_overtaken: require 0 < fast_s <= slow_s");
-  }
-  // eta^a / fast < 1 / slow  <=>  a > ln(fast / slow) / ln(eta).
-  const double threshold = std::log(fast_s / slow_s) / std::log(eta);
-  const double a = std::floor(threshold) + 1.0;
-  return a < 0.0 ? 0 : static_cast<std::size_t>(a);
-}
-
 }  // namespace helcfl::core

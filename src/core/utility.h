@@ -19,10 +19,4 @@ namespace helcfl::core {
 double utility(std::size_t appearance_count, double t_cal_s, double t_com_s,
                double eta);
 
-/// Number of selections after which a user with total delay `fast_s` drops
-/// below a never-selected user with total delay `slow_s`:
-///   smallest a with eta^a / fast < 1 / slow.
-/// Useful for reasoning about catch-up latency; requires slow_s >= fast_s.
-std::size_t selections_until_overtaken(double fast_s, double slow_s, double eta);
-
 }  // namespace helcfl::core

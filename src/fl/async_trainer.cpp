@@ -323,8 +323,6 @@ AsyncTrainer::AsyncTrainer(nn::Sequential& model, const data::Dataset& train,
 
 AsyncTrainer::~AsyncTrainer() = default;
 
-sched::FleetView AsyncTrainer::fleet_view() const { return {world_->users}; }
-
 // The event-driven FedBuff engine (docs/ASYNC.md).  A single deterministic
 // clock advances through the EventQueue; devices are (re-)dispatched the
 // moment they are free, the single TDMA uplink is a rolling cursor, and the

@@ -88,9 +88,6 @@ class AsyncTrainer {
   /// in the model passed at construction.
   TrainingHistory run();
 
-  /// Fleet view the strategy sees (useful for tests and benches).
-  sched::FleetView fleet_view() const;
-
  private:
   AsyncOptions async_;
   std::unique_ptr<detail::RoundWorld> world_;

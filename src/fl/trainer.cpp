@@ -83,8 +83,6 @@ FederatedTrainer::FederatedTrainer(nn::Sequential& model, const data::Dataset& t
 
 FederatedTrainer::~FederatedTrainer() = default;
 
-sched::FleetView FederatedTrainer::fleet_view() const { return {world_->users}; }
-
 TrainingHistory FederatedTrainer::run() {
   detail::RoundWorld& world = *world_;
   const TrainerOptions& options = world.options;

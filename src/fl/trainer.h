@@ -138,9 +138,6 @@ class FederatedTrainer {
   /// loaded in the model passed at construction.
   TrainingHistory run();
 
-  /// Fleet view the strategy sees (useful for tests and benches).
-  sched::FleetView fleet_view() const;
-
  private:
   std::unique_ptr<detail::RoundWorld> world_;  ///< fl/round_steps.h
 };

@@ -14,11 +14,6 @@ double Battery::drain(double joules) {
   return drained;
 }
 
-double Battery::state_of_charge() const {
-  if (is_mains_powered()) return 1.0;
-  return remaining_j_ / capacity_j_;
-}
-
 void Battery::restore_remaining_j(double joules) {
   if (is_mains_powered()) return;
   remaining_j_ = std::clamp(joules, 0.0, capacity_j_);
@@ -26,12 +21,6 @@ void Battery::restore_remaining_j(double joules) {
 
 BatteryFleet::BatteryFleet(std::size_t n_devices, double capacity_j)
     : batteries_(n_devices, Battery(capacity_j)), alive_(n_devices, 1) {}
-
-BatteryFleet::BatteryFleet(std::vector<double> capacities_j) {
-  batteries_.reserve(capacities_j.size());
-  for (const double capacity : capacities_j) batteries_.emplace_back(capacity);
-  alive_.assign(batteries_.size(), 1);
-}
 
 double BatteryFleet::drain(std::size_t i, double joules) {
   const double drained = batteries_.at(i).drain(joules);
@@ -73,13 +62,6 @@ void BatteryFleet::load_state(util::ByteReader& in) {
     batteries_[i].restore_remaining_j(remaining[i]);
     alive_[i] = batteries_[i].depleted() ? 0 : 1;
   }
-}
-
-double BatteryFleet::mean_state_of_charge() const {
-  if (batteries_.empty()) return 1.0;
-  double sum = 0.0;
-  for (const auto& b : batteries_) sum += b.state_of_charge();
-  return sum / static_cast<double>(batteries_.size());
 }
 
 }  // namespace helcfl::mec

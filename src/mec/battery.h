@@ -35,16 +35,8 @@ class Battery {
   /// last round of a dying device may overdraw, which is clamped).
   double drain(double joules);
 
-  /// True when the battery can fund an expense of `joules` right now.
-  bool can_afford(double joules) const {
-    return is_mains_powered() || remaining_j_ >= joules;
-  }
-
   double capacity_j() const { return capacity_j_; }
   double remaining_j() const { return is_mains_powered() ? 0.0 : remaining_j_; }
-
-  /// Remaining fraction in [0, 1]; 1 for mains power.
-  double state_of_charge() const;
 
   /// Overwrites the remaining charge (checkpoint resume).  Clamped to
   /// [0, capacity]; no-op for mains power.
@@ -61,8 +53,6 @@ class BatteryFleet {
   BatteryFleet() = default;
   /// All devices share the same capacity.  capacity_j <= 0 = mains power.
   BatteryFleet(std::size_t n_devices, double capacity_j);
-  /// Heterogeneous capacities.
-  explicit BatteryFleet(std::vector<double> capacities_j);
 
   std::size_t size() const { return batteries_.size(); }
   const Battery& battery(std::size_t i) const { return batteries_.at(i); }
@@ -76,9 +66,6 @@ class BatteryFleet {
   /// 1 = selectable, 0 = depleted; aligned with device indices and
   /// directly usable as FleetView::alive.
   std::span<const std::uint8_t> alive_mask() const { return alive_; }
-
-  /// Mean state of charge over all devices.
-  double mean_state_of_charge() const;
 
   /// Serializes capacities (as a configuration echo) and remaining charge.
   void save_state(util::ByteWriter& out) const;

@@ -27,14 +27,4 @@ double upload_energy_j(const Device& device, const Channel& channel,
   return device.tx_power_w * upload_delay_s(device, channel, model_size_bits);
 }
 
-UserCost user_cost(const Device& device, const Channel& channel,
-                   double model_size_bits, double f_hz) {
-  UserCost cost;
-  cost.compute_delay_s = compute_delay_s(device, f_hz);
-  cost.compute_energy_j = compute_energy_j(device, f_hz);
-  cost.upload_delay_s = upload_delay_s(device, channel, model_size_bits);
-  cost.upload_energy_j = upload_energy_j(device, channel, model_size_bits);
-  return cost;
-}
-
 }  // namespace helcfl::mec

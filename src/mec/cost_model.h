@@ -6,17 +6,6 @@
 
 namespace helcfl::mec {
 
-/// Delay and energy of one user in one training round.
-struct UserCost {
-  double compute_delay_s = 0.0;   ///< T^cal, Eq. (4)
-  double upload_delay_s = 0.0;    ///< T^com, Eq. (7)
-  double compute_energy_j = 0.0;  ///< E^cal, Eq. (5)
-  double upload_energy_j = 0.0;   ///< E^com, Eq. (8)
-
-  double total_delay_s() const { return compute_delay_s + upload_delay_s; }   // Eq. (9)
-  double total_energy_j() const { return compute_energy_j + upload_energy_j; }
-};
-
 /// T^cal = pi * |D| / f  (Eq. 4).  Requires f > 0.
 double compute_delay_s(const Device& device, double f_hz);
 
@@ -30,9 +19,5 @@ double upload_delay_s(const Device& device, const Channel& channel,
 /// E^com = p * T^com  (Eq. 8).
 double upload_energy_j(const Device& device, const Channel& channel,
                        double model_size_bits);
-
-/// All four costs of one round at operating frequency `f_hz`.
-UserCost user_cost(const Device& device, const Channel& channel,
-                   double model_size_bits, double f_hz);
 
 }  // namespace helcfl::mec

@@ -87,15 +87,6 @@ CompressionKind parse_compression_kind(const std::string& text) {
   throw std::invalid_argument("unknown compression kind: " + text);
 }
 
-std::string compression_kind_name(CompressionKind kind) {
-  switch (kind) {
-    case CompressionKind::kNone: return "none";
-    case CompressionKind::kQuantization: return "quantization";
-    case CompressionKind::kSparsification: return "sparsification";
-  }
-  return "unknown";
-}
-
 CompressedModel compress(std::span<const float> weights,
                          const CompressionOptions& options) {
   switch (options.kind) {

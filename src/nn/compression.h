@@ -47,7 +47,6 @@ enum class CompressionKind {
 };
 
 CompressionKind parse_compression_kind(const std::string& text);
-std::string compression_kind_name(CompressionKind kind);
 
 /// Config + dispatch wrapper.
 struct CompressionOptions {

@@ -44,6 +44,4 @@ std::vector<float> extract_gradients(Layer& model) {
   return flat;
 }
 
-std::size_t model_size_bits(Layer& model) { return parameter_count(model) * 32; }
-
 }  // namespace helcfl::nn

@@ -25,8 +25,4 @@ void load_parameters(Layer& model, std::span<const float> flat);
 /// Copies all parameter *gradients* into one flat vector (same order).
 std::vector<float> extract_gradients(Layer& model);
 
-/// Size of the serialized model in bits assuming float32 parameters; this
-/// is the C_model of the paper's Eq. (7).
-std::size_t model_size_bits(Layer& model);
-
 }  // namespace helcfl::nn

@@ -24,10 +24,6 @@ std::string format_minutes_or_x(const std::optional<double>& seconds) {
 
 std::string format_joules(double joules) { return fixed2(joules, "J"); }
 
-std::string format_joules_or_x(const std::optional<double>& joules) {
-  return joules ? format_joules(*joules) : "X";
-}
-
 std::string format_percent(double fraction) { return fixed2(fraction * 100.0, "%"); }
 
 void write_history_csv(const std::string& path, const fl::TrainingHistory& history) {

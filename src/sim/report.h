@@ -23,7 +23,6 @@ std::string format_minutes_or_x(const std::optional<double>& seconds);
 
 /// "123.4J" with two decimals.
 std::string format_joules(double joules);
-std::string format_joules_or_x(const std::optional<double>& joules);
 
 /// "87.31%" for 0.8731.
 std::string format_percent(double fraction);

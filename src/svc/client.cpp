@@ -84,7 +84,6 @@ void ServiceClient::deliver(std::span<const std::uint8_t> bytes) {
   std::vector<Frame> frames;
   std::vector<FrameError> errors;
   decode_datagram(bytes, frames, errors);
-  frames_rejected_ += errors.size();
 
   for (const Frame& frame : frames) {
     switch (frame.type) {
@@ -93,13 +92,10 @@ void ServiceClient::deliver(std::span<const std::uint8_t> bytes) {
         try {
           ack = decode_report_ack(frame.payload);
         } catch (const util::SerialError&) {
-          ++frames_rejected_;
           continue;
         }
         // A duplicate ack finds nothing pending — absorbed here.
-        if (pending_reports_.erase({ack.device_id, ack.report_seq}) == 0) {
-          ++stale_messages_;
-        }
+        pending_reports_.erase({ack.device_id, ack.report_seq});
         break;
       }
       case MsgType::kDecisionResponse: {
@@ -107,25 +103,20 @@ void ServiceClient::deliver(std::span<const std::uint8_t> bytes) {
         try {
           response = decode_decision_response(frame.payload);
         } catch (const util::SerialError&) {
-          ++frames_rejected_;
           continue;
         }
+        // A duplicate of an already-completed response, or one for a
+        // request that exhausted its budget, is dropped.
         if (pending_request_.has_value() &&
             response.controller_seq == pending_request_seq_) {
           decision_ = std::move(response);
           pending_request_.reset();
-        } else {
-          // Duplicate of an already-completed response, or one for a
-          // request that exhausted its budget: drop it.
-          ++stale_messages_;
         }
         break;
       }
       case MsgType::kDeviceReport:
       case MsgType::kDecisionRequest:
-        // Client-to-service traffic reflected back at us.
-        ++frames_rejected_;
-        break;
+        break;  // client-to-service traffic reflected back at us
     }
   }
 }

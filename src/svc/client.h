@@ -13,7 +13,7 @@
 // the caller owns the wire and the logical tick.  poll(now) returns the
 // encoded frames due for (re)transmission at `now`; deliver(bytes) feeds
 // back whatever the wire produced (including corruption — decode errors
-// are counted, never thrown).
+// are dropped, never thrown).
 #pragma once
 
 #include <cstddef>
@@ -63,7 +63,7 @@ class ServiceClient {
   /// Consumes one datagram from the wire.  Acks complete pending reports;
   /// the response matching the outstanding request is captured (pick it up
   /// with take_decision()).  Corrupt frames and stale/duplicate messages
-  /// are counted and dropped — never thrown.
+  /// are dropped — never thrown.
   void deliver(std::span<const std::uint8_t> bytes);
 
   /// The captured decision response, if the outstanding request completed.
@@ -76,13 +76,9 @@ class ServiceClient {
     return pending_reports_.empty() && !pending_request_.has_value();
   }
   std::size_t pending_reports() const { return pending_reports_.size(); }
-  bool awaiting_decision() const { return pending_request_.has_value(); }
-  std::uint64_t next_controller_seq() const { return next_controller_seq_; }
 
   std::uint64_t retries() const { return retries_; }        ///< re-transmissions
   std::uint64_t exhausted() const { return exhausted_; }    ///< gave up
-  std::uint64_t frames_rejected() const { return frames_rejected_; }
-  std::uint64_t stale_messages() const { return stale_messages_; }
 
  private:
   struct Pending {
@@ -107,8 +103,6 @@ class ServiceClient {
 
   std::uint64_t retries_ = 0;
   std::uint64_t exhausted_ = 0;
-  std::uint64_t frames_rejected_ = 0;
-  std::uint64_t stale_messages_ = 0;
 };
 
 }  // namespace helcfl::svc

@@ -159,11 +159,6 @@ FrameDecoder::Result FrameDecoder::next(Frame& out, FrameError& error) {
   return Result::kFrame;
 }
 
-void FrameDecoder::reset() {
-  buffer_.clear();
-  head_ = 0;
-}
-
 void decode_datagram(std::span<const std::uint8_t> bytes,
                      std::vector<Frame>& out, std::vector<FrameError>& errors) {
   FrameDecoder decoder;

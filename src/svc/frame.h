@@ -103,9 +103,6 @@ class FrameDecoder {
   /// so callers loop until kNeedMore.
   Result next(Frame& out, FrameError& error);
 
-  /// Drops all buffered bytes (datagram boundary).
-  void reset();
-
   std::size_t buffered() const { return buffer_.size() - head_; }
   const Stats& stats() const { return stats_; }
 

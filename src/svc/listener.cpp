@@ -36,6 +36,18 @@ std::uint64_t payload_u64_of(std::span<const std::uint8_t> bytes) {
   return value;
 }
 
+/// Bounded frame handoff between readers and the service thread; on
+/// overflow the oldest queued *device report* is shed (its sender's retry
+/// recovers it).  Decision requests are never shed here.
+constexpr std::size_t kIngressQueueCapacity = 4096;
+
+/// Service-loop cadence when no traffic arrives — leases still expire on
+/// time because every loop iteration calls poll(tick).
+constexpr std::chrono::microseconds kIdlePollInterval{500};
+
+/// How long stop() keeps flushing pending output before closing.
+constexpr std::chrono::milliseconds kDrainTimeout{1000};
+
 void drain_pipe(int fd) {
   std::uint8_t buf[256];
   while (::read(fd, buf, sizeof(buf)) > 0) {
@@ -48,14 +60,10 @@ void ServerOptions::validate() const {
   if (ingress_threads == 0) {
     throw ServiceError("ServerOptions: ingress_threads must be >= 1");
   }
-  if (ingress_queue_capacity == 0) {
-    throw ServiceError("ServerOptions: ingress_queue_capacity must be >= 1");
-  }
   if (max_conn_output_bytes < kFrameHeaderBytes) {
     throw ServiceError(
         "ServerOptions: max_conn_output_bytes cannot hold a frame header");
   }
-  egress_chaos.validate();
 }
 
 SocketServer::SocketServer(SchedulerService& service, const Endpoint& endpoint,
@@ -67,11 +75,6 @@ SocketServer::SocketServer(SchedulerService& service, const Endpoint& endpoint,
       options_(options),
       instruments_(instruments) {
   options_.validate();
-  if (options_.egress_chaos.any_fault_possible()) {
-    egress_chaos_ = WireFaultInjector(options_.egress_chaos,
-                                      util::Rng(options_.egress_chaos_seed));
-    chaos_enabled_ = true;
-  }
 }
 
 SocketServer::~SocketServer() { stop(); }
@@ -101,7 +104,7 @@ void SocketServer::start() {
     throw ServiceError("SocketServer: start() called twice");
   }
   started_ = true;
-  listen_socket_ = Socket::listen_on(requested_endpoint_, options_.listen_backlog);
+  listen_socket_ = Socket::listen_on(requested_endpoint_);
   bound_endpoint_ = requested_endpoint_.kind == Endpoint::Kind::kTcp
                         ? listen_socket_.local_endpoint()
                         : requested_endpoint_;
@@ -174,8 +177,7 @@ void SocketServer::stop() {
 }
 
 void SocketServer::drain_output() {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.drain_timeout_ms);
+  const auto deadline = std::chrono::steady_clock::now() + kDrainTimeout;
   std::vector<ConnPtr> open;
   {
     std::lock_guard lock(conns_mutex_);
@@ -229,8 +231,7 @@ void SocketServer::acceptor_loop() {
       conn->owner = next_reader;
       conn->framed = FramedConn(
           std::move(*accepted),
-          FramedConn::Options{.max_output_bytes = options_.max_conn_output_bytes,
-                              .read_chunk_bytes = std::size_t{64} << 10});
+          FramedConn::Options{.max_output_bytes = options_.max_conn_output_bytes});
       {
         std::lock_guard lock(conns_mutex_);
         conns_.emplace(conn->id, conn);
@@ -329,10 +330,7 @@ void SocketServer::reader_loop(std::size_t index) {
         enqueue_ingress(
             IngressItem{IngressItem::Kind::kFrame, conn->id, std::move(frame)});
       }
-      if (read_error) {
-        stats_.conn_read_errors.fetch_add(1, std::memory_order_relaxed);
-        count("svc.conn_read_errors");
-      }
+      if (read_error) count("svc.conn_read_errors");
       if (dead) conn->closed.store(true, std::memory_order_release);
     }
   }
@@ -342,7 +340,7 @@ void SocketServer::enqueue_ingress(IngressItem item) {
   {
     std::lock_guard lock(ingress_mutex_);
     if (item.kind == IngressItem::Kind::kFrame &&
-        ingress_queue_.size() >= options_.ingress_queue_capacity) {
+        ingress_queue_.size() >= kIngressQueueCapacity) {
       // Oldest-first shedding, reports only: the shed sender's retry
       // recovers it, and decision requests must never vanish here.
       auto oldest = std::find_if(
@@ -390,7 +388,6 @@ SocketServer::ConnPtr SocketServer::route_of(
 void SocketServer::deliver_to_conn(const ConnPtr& conn,
                                    std::span<const std::uint8_t> frame_bytes) {
   if (conn == nullptr || conn->closed.load(std::memory_order_acquire)) {
-    stats_.egress_unroutable.fetch_add(1, std::memory_order_relaxed);
     count("svc.egress_unroutable");
     return;
   }
@@ -427,7 +424,6 @@ void SocketServer::deliver_to_conn(const ConnPtr& conn,
 
 void SocketServer::service_loop() {
   std::vector<IngressItem> batch;
-  std::vector<std::uint8_t> scratch;
 
   auto process_batch = [&] {
     const std::uint64_t tick = current_tick();
@@ -457,28 +453,7 @@ void SocketServer::service_loop() {
     batch.clear();
     service_.poll(tick);
     for (const std::vector<std::uint8_t>& frame : service_.take_outbox()) {
-      if (!chaos_enabled_) {
-        deliver_to_conn(route_of(frame), frame);
-        continue;
-      }
-      const WireFaultInjector::Plan plan = egress_chaos_.plan_frame();
-      if (plan.dropped) {
-        stats_.chaos_dropped.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      for (std::size_t c = 0; c < plan.copies; ++c) {
-        scratch.assign(frame.begin(), frame.end());
-        const WireFaultInjector::Delivery& delivery = plan.delivery[c];
-        if (delivery.corrupted && !scratch.empty()) {
-          scratch[delivery.corrupt_index % scratch.size()] ^=
-              delivery.corrupt_mask;
-          stats_.chaos_corrupted.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (c > 0) {
-          stats_.chaos_duplicated.fetch_add(1, std::memory_order_relaxed);
-        }
-        deliver_to_conn(route_of(frame), scratch);
-      }
+      deliver_to_conn(route_of(frame), frame);
     }
     stats_.decisions_issued.store(service_.stats().decisions,
                                   std::memory_order_relaxed);
@@ -487,12 +462,10 @@ void SocketServer::service_loop() {
   for (;;) {
     {
       std::unique_lock lock(ingress_mutex_);
-      ingress_cv_.wait_for(
-          lock, std::chrono::microseconds(options_.idle_poll_interval_us),
-          [&] {
-            return !ingress_queue_.empty() ||
-                   service_stop_.load(std::memory_order_acquire);
-          });
+      ingress_cv_.wait_for(lock, kIdlePollInterval, [&] {
+        return !ingress_queue_.empty() ||
+               service_stop_.load(std::memory_order_acquire);
+      });
       batch.assign(std::make_move_iterator(ingress_queue_.begin()),
                    std::make_move_iterator(ingress_queue_.end()));
       ingress_queue_.clear();
@@ -508,18 +481,9 @@ ServerStats SocketServer::stats() const {
   snapshot.conns_accepted = stats_.conns_accepted.load(std::memory_order_relaxed);
   snapshot.conns_closed = stats_.conns_closed.load(std::memory_order_relaxed);
   snapshot.conns_stalled = stats_.conns_stalled.load(std::memory_order_relaxed);
-  snapshot.conn_read_errors =
-      stats_.conn_read_errors.load(std::memory_order_relaxed);
   snapshot.ingress_frames = stats_.ingress_frames.load(std::memory_order_relaxed);
   snapshot.ingress_shed = stats_.ingress_shed.load(std::memory_order_relaxed);
   snapshot.egress_frames = stats_.egress_frames.load(std::memory_order_relaxed);
-  snapshot.egress_unroutable =
-      stats_.egress_unroutable.load(std::memory_order_relaxed);
-  snapshot.chaos_dropped = stats_.chaos_dropped.load(std::memory_order_relaxed);
-  snapshot.chaos_corrupted =
-      stats_.chaos_corrupted.load(std::memory_order_relaxed);
-  snapshot.chaos_duplicated =
-      stats_.chaos_duplicated.load(std::memory_order_relaxed);
   snapshot.decisions_issued =
       stats_.decisions_issued.load(std::memory_order_relaxed);
   return snapshot;

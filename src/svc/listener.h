@@ -33,8 +33,8 @@
 // parks silent devices, retries re-deliver lost messages.
 //
 // stop() drains gracefully: no new connections, remaining queued frames
-// are processed, pending output is flushed (bounded by drain_timeout_ms),
-// then sockets close.
+// are processed, pending output is flushed (for at most kDrainTimeout, one
+// second), then sockets close.
 #pragma once
 
 #include <atomic>
@@ -54,7 +54,6 @@
 #include "obs/instruments.h"
 #include "svc/service.h"
 #include "svc/transport.h"
-#include "svc/wire_faults.h"
 
 namespace helcfl::svc {
 
@@ -65,14 +64,9 @@ struct ServerStats {
   std::uint64_t conns_accepted = 0;
   std::uint64_t conns_closed = 0;    ///< every close, any reason
   std::uint64_t conns_stalled = 0;   ///< closed for output-backlog overflow
-  std::uint64_t conn_read_errors = 0;
   std::uint64_t ingress_frames = 0;  ///< validated frames queued
   std::uint64_t ingress_shed = 0;    ///< oldest-report sheds by the queue
   std::uint64_t egress_frames = 0;   ///< outbox frames routed to a peer
-  std::uint64_t egress_unroutable = 0;  ///< no live connection for a frame
-  std::uint64_t chaos_dropped = 0;      ///< egress chaos faults (tests)
-  std::uint64_t chaos_corrupted = 0;
-  std::uint64_t chaos_duplicated = 0;
   /// Mirror of the service's decision counter, published by the service
   /// thread — the race-free way to watch progress while the server runs.
   std::uint64_t decisions_issued = 0;
@@ -83,38 +77,18 @@ struct ServerOptions {
   /// service loop are one thread each on top).
   std::size_t ingress_threads = 1;
 
-  /// Bounded frame handoff between readers and the service thread; on
-  /// overflow the oldest queued *device report* is shed (its sender's
-  /// retry recovers it).  Decision requests are never shed here.
-  std::size_t ingress_queue_capacity = 4096;
-
   /// Per-connection output backlog bound; exceeding it closes the
   /// connection (slow-client backpressure).
   std::size_t max_conn_output_bytes = std::size_t{8} << 20;
-
-  int listen_backlog = 64;
 
   /// When > 0, applied to every accepted socket (tests shrink it to force
   /// short writes); 0 keeps the OS default.
   int conn_send_buffer_bytes = 0;
 
-  /// Service-loop cadence when no traffic arrives — leases still expire
-  /// on time because every loop iteration calls poll(tick).
-  std::uint64_t idle_poll_interval_us = 500;
-
-  /// How long stop() keeps flushing pending output before closing.
-  std::uint64_t drain_timeout_ms = 1000;
-
   /// Logical clock for the service core.  Default (unset): milliseconds
   /// of wall time since start().  Tests inject a counter they control so
   /// lease expiry is deterministic.
   std::function<std::uint64_t()> tick_source;
-
-  /// Chaos knob for robustness tests: fault outbound frames (drop,
-  /// corrupt, duplicate — delay is meaningless on an ordered stream and
-  /// ignored) before they reach a connection.  Inert by default.
-  WireFaultOptions egress_chaos;
-  std::uint64_t egress_chaos_seed = 0;
 
   /// Throws ServiceError with an actionable message on bad knobs.
   void validate() const;
@@ -214,9 +188,6 @@ class SocketServer {
   std::unordered_map<std::uint64_t, std::uint64_t> device_route_;
   std::uint64_t controller_conn_ = 0;
 
-  WireFaultInjector egress_chaos_;
-  bool chaos_enabled_ = false;
-
   std::chrono::steady_clock::time_point start_time_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};      ///< acceptor + readers exit
@@ -228,14 +199,9 @@ class SocketServer {
     std::atomic<std::uint64_t> conns_accepted{0};
     std::atomic<std::uint64_t> conns_closed{0};
     std::atomic<std::uint64_t> conns_stalled{0};
-    std::atomic<std::uint64_t> conn_read_errors{0};
     std::atomic<std::uint64_t> ingress_frames{0};
     std::atomic<std::uint64_t> ingress_shed{0};
     std::atomic<std::uint64_t> egress_frames{0};
-    std::atomic<std::uint64_t> egress_unroutable{0};
-    std::atomic<std::uint64_t> chaos_dropped{0};
-    std::atomic<std::uint64_t> chaos_corrupted{0};
-    std::atomic<std::uint64_t> chaos_duplicated{0};
     std::atomic<std::uint64_t> decisions_issued{0};
   };
   AtomicStats stats_;

@@ -159,11 +159,8 @@ class SchedulerService {
 
   // --- introspection -----------------------------------------------------
   const ServiceStats& stats() const { return stats_; }
-  std::size_t n_devices() const { return users_.size(); }
   std::size_t queue_depth() const { return report_queue_.size(); }
   bool device_alive(std::size_t device) const { return alive_[device] != 0; }
-  std::uint64_t decisions_issued() const { return stats_.decisions; }
-  const ServiceOptions& options() const { return options_; }
 
   static constexpr std::uint32_t kSnapshotMagic = 0x53565348;  ///< "HSVS" LE
   static constexpr std::uint32_t kSnapshotVersion = 1;

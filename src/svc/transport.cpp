@@ -6,6 +6,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -21,11 +22,30 @@ namespace {
   throw TransportError(what + ": " + std::strerror(errno));
 }
 
-void set_fd_nonblocking(int fd, bool on) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
+/// Bytes per read() attempt in FramedConn::read_frames.
+constexpr std::size_t kReadChunkBytes = std::size_t{64} << 10;
+
+/// Pending-connection queue of a listening socket.
+constexpr int kListenBacklog = 64;
+
+void set_nonblocking(const Socket& sock) {
+  const int flags = ::fcntl(sock.fd(), F_GETFL, 0);
   if (flags < 0) fail("fcntl(F_GETFL)");
-  const int want = on ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (::fcntl(fd, F_SETFL, want) < 0) fail("fcntl(F_SETFL)");
+  if (::fcntl(sock.fd(), F_SETFL, flags | O_NONBLOCK) < 0) fail("fcntl(F_SETFL)");
+}
+
+/// Removes a previous server's socket file at `path`, which would make
+/// bind fail with EADDRINUSE even though nobody is listening.  Anything
+/// else at the path is left alone: a listen address must never delete a
+/// user's file.
+void remove_stale_socket(const std::string& path) {
+  struct stat st {};
+  if (::lstat(path.c_str(), &st) < 0) return;  // nothing there; bind decides
+  if (!S_ISSOCK(st.st_mode)) {
+    throw TransportError("refusing to listen on unix:" + path +
+                         ": the path exists and is not a socket");
+  }
+  (void)::unlink(path.c_str());
 }
 
 void set_tcp_nodelay(int fd) {
@@ -106,20 +126,18 @@ void Socket::close() {
   }
 }
 
-Socket Socket::listen_on(const Endpoint& endpoint, int backlog) {
+Socket Socket::listen_on(const Endpoint& endpoint) {
   if (endpoint.kind == Endpoint::Kind::kUnix) {
     const sockaddr_un addr = unix_address(endpoint.path);
     Socket sock(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!sock.valid()) fail("socket(AF_UNIX)");
-    // A previous server's socket file would make bind fail with EADDRINUSE
-    // even though nobody is listening; stale files are safe to remove.
-    (void)::unlink(endpoint.path.c_str());
+    remove_stale_socket(endpoint.path);
     if (::bind(sock.fd(), reinterpret_cast<const sockaddr*>(&addr),
                sizeof(addr)) < 0) {
       fail("bind(" + endpoint.to_string() + ")");
     }
-    if (::listen(sock.fd(), backlog) < 0) fail("listen");
-    sock.set_nonblocking(true);
+    if (::listen(sock.fd(), kListenBacklog) < 0) fail("listen");
+    set_nonblocking(sock);
     return sock;
   }
   const sockaddr_in addr = tcp_address(endpoint);
@@ -131,8 +149,8 @@ Socket Socket::listen_on(const Endpoint& endpoint, int backlog) {
              sizeof(addr)) < 0) {
     fail("bind(" + endpoint.to_string() + ")");
   }
-  if (::listen(sock.fd(), backlog) < 0) fail("listen");
-  sock.set_nonblocking(true);
+  if (::listen(sock.fd(), kListenBacklog) < 0) fail("listen");
+  set_nonblocking(sock);
   return sock;
 }
 
@@ -145,7 +163,7 @@ Socket Socket::connect_to(const Endpoint& endpoint) {
                   sizeof(addr)) < 0) {
       fail("connect(" + endpoint.to_string() + ")");
     }
-    sock.set_nonblocking(true);
+    set_nonblocking(sock);
     return sock;
   }
   const sockaddr_in addr = tcp_address(endpoint);
@@ -156,7 +174,7 @@ Socket Socket::connect_to(const Endpoint& endpoint) {
     fail("connect(" + endpoint.to_string() + ")");
   }
   set_tcp_nodelay(sock.fd());
-  sock.set_nonblocking(true);
+  set_nonblocking(sock);
   return sock;
 }
 
@@ -167,8 +185,8 @@ std::pair<Socket, Socket> Socket::stream_pair() {
   }
   Socket a(fds[0]);
   Socket b(fds[1]);
-  a.set_nonblocking(true);
-  b.set_nonblocking(true);
+  set_nonblocking(a);
+  set_nonblocking(b);
   return {std::move(a), std::move(b)};
 }
 
@@ -182,7 +200,7 @@ std::optional<Socket> Socket::accept_one() {
     fail("accept");
   }
   Socket sock(fd);
-  sock.set_nonblocking(true);
+  set_nonblocking(sock);
   // Harmless no-op on AF_UNIX (setsockopt error ignored).
   set_tcp_nodelay(fd);
   return sock;
@@ -210,17 +228,9 @@ Endpoint Socket::local_endpoint() const {
   return endpoint;
 }
 
-void Socket::set_nonblocking(bool on) { set_fd_nonblocking(fd_, on); }
-
 void Socket::set_send_buffer(int bytes) {
   if (::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)) < 0) {
     fail("setsockopt(SO_SNDBUF)");
-  }
-}
-
-void Socket::set_receive_buffer(int bytes) {
-  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes)) < 0) {
-    fail("setsockopt(SO_RCVBUF)");
   }
 }
 
@@ -248,7 +258,7 @@ FramedConn::IoStatus FramedConn::read_frames(std::vector<Frame>& out) {
     }
   };
 
-  std::vector<std::uint8_t> chunk(options_.read_chunk_bytes);
+  std::vector<std::uint8_t> chunk(kReadChunkBytes);
   for (;;) {
     const ssize_t n = ::recv(socket_.fd(), chunk.data(), chunk.size(), 0);
     if (n > 0) {
@@ -298,7 +308,6 @@ FramedConn::IoStatus FramedConn::flush() {
     const ssize_t n = ::send(socket_.fd(), outbuf_.data() + out_head_, backlog,
                              MSG_NOSIGNAL);
     if (n > 0) {
-      bytes_written_ += static_cast<std::uint64_t>(n);
       out_head_ += static_cast<std::size_t>(n);
       if (static_cast<std::size_t>(n) < backlog) ++short_writes_;
       continue;
@@ -317,11 +326,7 @@ FramedConn::IoStatus FramedConn::flush() {
 }
 
 ClientChannel::ClientChannel(const Endpoint& endpoint)
-    : ClientChannel(endpoint, FramedConn::Options()) {}
-
-ClientChannel::ClientChannel(const Endpoint& endpoint,
-                             FramedConn::Options options)
-    : conn_(FramedConn(Socket::connect_to(endpoint), options)) {}
+    : conn_(FramedConn(Socket::connect_to(endpoint))) {}
 
 void ClientChannel::close() { conn_.reset(); }
 

@@ -87,8 +87,9 @@ class Socket {
   void close();
 
   /// Binds and listens on `endpoint` (SO_REUSEADDR for TCP; a stale Unix
-  /// socket file is unlinked first).  Throws TransportError on failure.
-  static Socket listen_on(const Endpoint& endpoint, int backlog);
+  /// socket file is unlinked first, but any other file at the path makes
+  /// it throw instead).  Throws TransportError on failure.
+  static Socket listen_on(const Endpoint& endpoint);
 
   /// Connects to `endpoint` (blocking connect, then switched to
   /// non-blocking; TCP_NODELAY for TCP).  Throws TransportError.
@@ -106,11 +107,9 @@ class Socket {
   /// listen_on({... port = 0}).
   Endpoint local_endpoint() const;
 
-  void set_nonblocking(bool on);
   /// Shrinks/grows the kernel send buffer (tests force short writes with
   /// tiny values; the kernel clamps to its floor).
   void set_send_buffer(int bytes);
-  void set_receive_buffer(int bytes);
 
  private:
   int fd_ = -1;
@@ -127,8 +126,6 @@ class FramedConn {
     /// queue_frame() fails once the unsent backlog would exceed this —
     /// the slow-peer backpressure bound.
     std::size_t max_output_bytes = std::size_t{8} << 20;
-    /// Bytes per read() attempt.
-    std::size_t read_chunk_bytes = std::size_t{64} << 10;
   };
 
   enum class IoStatus {
@@ -161,7 +158,6 @@ class FramedConn {
 
   const FrameDecoder::Stats& decode_stats() const { return decoder_.stats(); }
   std::uint64_t bytes_read() const { return bytes_read_; }
-  std::uint64_t bytes_written() const { return bytes_written_; }
   /// flush() calls that moved only part of the backlog (short writes).
   std::uint64_t short_writes() const { return short_writes_; }
 
@@ -175,7 +171,6 @@ class FramedConn {
   std::vector<std::uint8_t> outbuf_;
   std::size_t out_head_ = 0;  ///< sent prefix, compacted when it dominates
   std::uint64_t bytes_read_ = 0;
-  std::uint64_t bytes_written_ = 0;
   std::uint64_t short_writes_ = 0;
 };
 
@@ -191,7 +186,6 @@ class ClientChannel {
   /// Connects immediately; throws TransportError when the endpoint is
   /// unreachable.
   explicit ClientChannel(const Endpoint& endpoint);
-  ClientChannel(const Endpoint& endpoint, FramedConn::Options options);
 
   bool connected() const { return conn_.has_value(); }
   void close();

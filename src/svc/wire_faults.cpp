@@ -70,7 +70,6 @@ WireFaultInjector::Plan WireFaultInjector::plan_frame() {
 
 void FaultyLink::send(std::span<const std::uint8_t> frame,
                       std::uint64_t now_tick) {
-  ++sent_;
   const WireFaultInjector::Plan plan = injector_.plan_frame();
   if (plan.dropped) {
     ++dropped_;

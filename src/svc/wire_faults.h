@@ -73,9 +73,6 @@ class WireFaultInjector {
   /// frame-for-frame from the seed.
   Plan plan_frame();
 
-  std::uint64_t frames_planned() const { return frame_counter_; }
-  const WireFaultOptions& options() const { return options_; }
-
  private:
   WireFaultOptions options_;
   util::Rng base_;  ///< parent of the per-frame forks; never advanced
@@ -102,7 +99,6 @@ class FaultyLink {
   std::size_t in_flight() const { return queue_.size(); }
 
   // --- fault accounting (tests and the loadgen report these) -------------
-  std::uint64_t frames_sent() const { return sent_; }
   std::uint64_t frames_dropped() const { return dropped_; }
   std::uint64_t frames_corrupted() const { return corrupted_; }
   std::uint64_t frames_duplicated() const { return duplicated_; }
@@ -123,7 +119,6 @@ class FaultyLink {
   WireFaultInjector injector_;
   std::priority_queue<InFlight, std::vector<InFlight>, std::greater<>> queue_;
   std::uint64_t next_order_ = 0;
-  std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t corrupted_ = 0;
   std::uint64_t duplicated_ = 0;

@@ -1,7 +1,6 @@
 #include "tensor/ops.h"
 
 #include <cassert>
-#include <stdexcept>
 
 #include "tensor/gemm_kernel.h"
 
@@ -10,22 +9,6 @@ namespace helcfl::tensor {
 void add_inplace(std::span<float> y, std::span<const float> x) {
   assert(y.size() == x.size());
   for (std::size_t i = 0; i < y.size(); ++i) y[i] += x[i];
-}
-
-void sub_inplace(std::span<float> y, std::span<const float> x) {
-  assert(y.size() == x.size());
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] -= x[i];
-}
-
-void scale_inplace(std::span<float> y, float s) {
-  for (auto& v : y) v *= s;
-}
-
-double dot(std::span<const float> a, std::span<const float> b) {
-  assert(a.size() == b.size());
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) sum += static_cast<double>(a[i]) * b[i];
-  return sum;
 }
 
 // Every GEMM variant below fills one detail::GemmArgs descriptor and hands
@@ -154,34 +137,5 @@ std::size_t kernel_threads() { return detail::kernel_threads(); }
 std::string_view kernel_isa() { return detail::kernel_isa(); }
 
 std::uint64_t scratch_realloc_count() { return detail::scratch_reallocs(); }
-
-namespace {
-void require_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  if (a.shape() != b.shape()) {
-    throw std::invalid_argument(std::string(op) + ": shape mismatch " +
-                                a.shape().to_string() + " vs " + b.shape().to_string());
-  }
-}
-}  // namespace
-
-Tensor add(const Tensor& a, const Tensor& b) {
-  require_same_shape(a, b, "tensor::add");
-  Tensor out = a;
-  add_inplace(out.data(), b.data());
-  return out;
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  require_same_shape(a, b, "tensor::sub");
-  Tensor out = a;
-  sub_inplace(out.data(), b.data());
-  return out;
-}
-
-Tensor scale(const Tensor& a, float s) {
-  Tensor out = a;
-  scale_inplace(out.data(), s);
-  return out;
-}
 
 }  // namespace helcfl::tensor

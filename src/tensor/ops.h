@@ -10,9 +10,8 @@
 // tracing, and call history — so results are bitwise deterministic for a
 // given machine.  Expected rounding error against an exact product is
 // O(k) ulp; the layer gradchecks budget for it with tolerances >= 1e-2.
-// The non-GEMM reduction (dot) accumulates in double, as does
-// softmax_cross_entropy's log-sum-exp: they feed metrics and loss values
-// where drift across long sums would be visible.
+// softmax_cross_entropy's log-sum-exp accumulates in double: it feeds loss
+// values where drift across long sums would be visible.
 #pragma once
 
 #include <cstddef>
@@ -21,21 +20,10 @@
 #include <string_view>
 #include <vector>
 
-#include "tensor/tensor.h"
-
 namespace helcfl::tensor {
 
 /// y[i] += x[i].  Spans must be the same length.
 void add_inplace(std::span<float> y, std::span<const float> x);
-
-/// y[i] -= x[i].
-void sub_inplace(std::span<float> y, std::span<const float> x);
-
-/// y[i] *= s.
-void scale_inplace(std::span<float> y, float s);
-
-/// Inner product.
-double dot(std::span<const float> a, std::span<const float> b);
 
 /// C[M,N] = A[M,K] * B[K,N].  C is overwritten.
 void gemm(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
@@ -156,14 +144,5 @@ std::string_view kernel_isa();
 /// steady state (shapes no larger than already seen); the micro benches
 /// and tests assert no growth in their hot loops.
 std::uint64_t scratch_realloc_count();
-
-/// Elementwise tensor sum; shapes must match.
-Tensor add(const Tensor& a, const Tensor& b);
-
-/// Elementwise tensor difference; shapes must match.
-Tensor sub(const Tensor& a, const Tensor& b);
-
-/// Scalar multiple.
-Tensor scale(const Tensor& a, float s);
 
 }  // namespace helcfl::tensor

@@ -36,12 +36,6 @@ Tensor::Tensor(Shape shape, std::vector<float> data)
   }
 }
 
-Tensor Tensor::full(Shape shape, float value) {
-  Tensor t(std::move(shape));
-  t.fill(value);
-  return t;
-}
-
 float& Tensor::at(std::size_t i0) {
   assert(shape_.rank() == 1 && i0 < shape_[0]);
   return data_[i0];

@@ -53,7 +53,6 @@ class Tensor {
   Tensor(Shape shape, std::vector<float> data);
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
-  static Tensor full(Shape shape, float value);
 
   const Shape& shape() const { return shape_; }
   std::size_t size() const { return data_.size(); }

@@ -22,11 +22,6 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   }
 }
 
-bool ArgParser::has(std::string_view name) const {
-  queried_.emplace(name);
-  return flags_.contains(name) || values_.contains(name);
-}
-
 std::optional<std::string> ArgParser::get(std::string_view name) const {
   queried_.emplace(name);
   const auto it = values_.find(name);

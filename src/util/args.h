@@ -21,9 +21,6 @@ class ArgParser {
   /// Parses argv[1..argc); argv[0] (the program name) is skipped.
   ArgParser(int argc, const char* const* argv);
 
-  /// True if `--name` appeared as a bare flag or with any value.
-  bool has(std::string_view name) const;
-
   /// The value of `--name=value`; nullopt if absent or a bare flag.
   std::optional<std::string> get(std::string_view name) const;
 

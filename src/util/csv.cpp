@@ -8,13 +8,7 @@ namespace helcfl::util {
 CsvWriter::CsvWriter(const std::string& path, const std::vector<std::string>& header)
     : out_(path, std::ios::trunc) {
   if (!out_) throw std::runtime_error("CsvWriter: cannot open " + path);
-  bool first = true;
-  for (const auto& name : header) {
-    if (!first) out_ << ',';
-    out_ << escape(name);
-    first = false;
-  }
-  out_ << '\n';
+  write_row(header);
 }
 
 void CsvWriter::write_row(const std::vector<std::string>& fields) {
@@ -25,7 +19,6 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
     first = false;
   }
   out_ << '\n';
-  ++rows_;
 }
 
 std::string CsvWriter::field(double value) {

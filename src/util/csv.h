@@ -25,14 +25,10 @@ class CsvWriter {
   static std::string field(std::size_t value);
   static std::string field(int value);
 
-  /// Number of data rows written so far (excluding the header).
-  std::size_t rows_written() const { return rows_; }
-
  private:
   static std::string escape(std::string_view raw);
 
   std::ofstream out_;
-  std::size_t rows_ = 0;
 };
 
 }  // namespace helcfl::util

@@ -77,7 +77,6 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
 void ByteWriter::u8(std::uint8_t v) { buffer_.push_back(v); }
 void ByteWriter::u32(std::uint32_t v) { append_le(buffer_, v); }
 void ByteWriter::u64(std::uint64_t v) { append_le(buffer_, v); }
-void ByteWriter::f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
 void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 void ByteWriter::boolean(bool v) { u8(v ? 1 : 0); }
 
@@ -92,7 +91,7 @@ void ByteWriter::raw(std::span<const std::uint8_t> bytes) {
 
 void ByteWriter::vec_f32(std::span<const float> v) {
   u64(v.size());
-  for (const float x : v) f32(x);
+  for (const float x : v) u32(std::bit_cast<std::uint32_t>(x));
 }
 
 void ByteWriter::vec_f64(std::span<const double> v) {
@@ -140,7 +139,6 @@ std::uint64_t ByteReader::u64() {
   return v;
 }
 
-float ByteReader::f32() { return std::bit_cast<float>(u32()); }
 double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
 bool ByteReader::boolean() {
@@ -181,7 +179,7 @@ std::size_t ByteReader::read_count(std::size_t elem_size) {
 std::vector<float> ByteReader::vec_f32() {
   const std::size_t n = read_count(4);
   std::vector<float> v(n);
-  for (auto& x : v) x = f32();
+  for (auto& x : v) x = std::bit_cast<float>(u32());
   return v;
 }
 

@@ -42,7 +42,6 @@ class ByteWriter {
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void f32(float v);   ///< IEEE-754 bit pattern, preserves NaN payloads
   void f64(double v);  ///< IEEE-754 bit pattern, preserves NaN payloads
   void boolean(bool v);
 
@@ -52,7 +51,8 @@ class ByteWriter {
   /// Raw bytes, no length prefix (caller frames them).
   void raw(std::span<const std::uint8_t> bytes);
 
-  /// u64 element count followed by each element.
+  /// u64 element count followed by each element; floating-point elements
+  /// are IEEE-754 bit patterns, so NaN payloads survive.
   void vec_f32(std::span<const float> v);
   void vec_f64(std::span<const double> v);
   void vec_u64(std::span<const std::uint64_t> v);
@@ -77,7 +77,6 @@ class ByteReader {
   std::uint8_t u8();
   std::uint32_t u32();
   std::uint64_t u64();
-  float f32();
   double f64();
   bool boolean();
   std::string str();

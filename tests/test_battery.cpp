@@ -9,14 +9,14 @@ TEST(Battery, StartsFull) {
   const Battery b(10.0);
   EXPECT_FALSE(b.depleted());
   EXPECT_DOUBLE_EQ(b.remaining_j(), 10.0);
-  EXPECT_DOUBLE_EQ(b.state_of_charge(), 1.0);
+  EXPECT_DOUBLE_EQ(b.capacity_j(), 10.0);
 }
 
 TEST(Battery, DrainReducesCharge) {
   Battery b(10.0);
   EXPECT_DOUBLE_EQ(b.drain(3.0), 3.0);
   EXPECT_DOUBLE_EQ(b.remaining_j(), 7.0);
-  EXPECT_DOUBLE_EQ(b.state_of_charge(), 0.7);
+  EXPECT_DOUBLE_EQ(b.capacity_j(), 10.0);
   EXPECT_FALSE(b.depleted());
 }
 
@@ -34,22 +34,12 @@ TEST(Battery, ExactDepletion) {
   EXPECT_TRUE(b.depleted());
 }
 
-TEST(Battery, CanAfford) {
-  Battery b(5.0);
-  EXPECT_TRUE(b.can_afford(5.0));
-  EXPECT_FALSE(b.can_afford(5.1));
-  b.drain(3.0);
-  EXPECT_TRUE(b.can_afford(2.0));
-  EXPECT_FALSE(b.can_afford(2.1));
-}
-
 TEST(Battery, MainsPowerNeverDepletes) {
   Battery b(0.0);
   EXPECT_TRUE(b.is_mains_powered());
   EXPECT_DOUBLE_EQ(b.drain(1e9), 1e9);
   EXPECT_FALSE(b.depleted());
-  EXPECT_TRUE(b.can_afford(1e18));
-  EXPECT_DOUBLE_EQ(b.state_of_charge(), 1.0);
+  EXPECT_DOUBLE_EQ(b.remaining_j(), 0.0);  // mains power reports no charge
 }
 
 TEST(Battery, NegativeDrainThrows) {
@@ -65,12 +55,6 @@ TEST(BatteryFleet, UniformConstruction) {
     EXPECT_TRUE(fleet.is_alive(i));
     EXPECT_DOUBLE_EQ(fleet.battery(i).capacity_j(), 3.0);
   }
-}
-
-TEST(BatteryFleet, HeterogeneousConstruction) {
-  const BatteryFleet fleet(std::vector<double>{1.0, 2.0, 3.0});
-  EXPECT_EQ(fleet.size(), 3u);
-  EXPECT_DOUBLE_EQ(fleet.battery(2).capacity_j(), 3.0);
 }
 
 TEST(BatteryFleet, DrainUpdatesAliveMask) {
@@ -92,17 +76,18 @@ TEST(BatteryFleet, PartialDrainKeepsAlive) {
   EXPECT_EQ(fleet.alive_count(), 2u);
 }
 
-TEST(BatteryFleet, MeanStateOfCharge) {
+TEST(BatteryFleet, DrainTouchesOnlyItsDevice) {
   BatteryFleet fleet(2, 4.0);
-  fleet.drain(0, 2.0);  // 0.5 and 1.0
-  EXPECT_DOUBLE_EQ(fleet.mean_state_of_charge(), 0.75);
+  EXPECT_DOUBLE_EQ(fleet.drain(0, 2.0), 2.0);
+  EXPECT_DOUBLE_EQ(fleet.battery(0).remaining_j(), 2.0);
+  EXPECT_DOUBLE_EQ(fleet.battery(1).remaining_j(), 4.0);
 }
 
 TEST(BatteryFleet, EmptyFleet) {
   const BatteryFleet fleet;
   EXPECT_EQ(fleet.size(), 0u);
   EXPECT_EQ(fleet.alive_count(), 0u);
-  EXPECT_DOUBLE_EQ(fleet.mean_state_of_charge(), 1.0);
+  EXPECT_TRUE(fleet.alive_mask().empty());
 }
 
 }  // namespace

@@ -149,11 +149,11 @@ TEST(Compression, DispatchMatchesDirectCalls) {
             compress_topk_sparsification(w, 0.25).wire_bits);
 }
 
-TEST(Compression, ParseRoundTrip) {
-  for (const auto kind : {CompressionKind::kNone, CompressionKind::kQuantization,
-                          CompressionKind::kSparsification}) {
-    EXPECT_EQ(parse_compression_kind(compression_kind_name(kind)), kind);
-  }
+TEST(Compression, ParseKnownNames) {
+  EXPECT_EQ(parse_compression_kind("none"), CompressionKind::kNone);
+  EXPECT_EQ(parse_compression_kind("quantization"), CompressionKind::kQuantization);
+  EXPECT_EQ(parse_compression_kind("sparsification"),
+            CompressionKind::kSparsification);
   EXPECT_THROW(parse_compression_kind("zip"), std::invalid_argument);
 }
 

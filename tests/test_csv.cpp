@@ -27,7 +27,6 @@ TEST_F(CsvTest, WritesHeaderAndRows) {
     CsvWriter csv(path_, {"a", "b"});
     csv.write_row({"1", "2"});
     csv.write_row({"3", "4"});
-    EXPECT_EQ(csv.rows_written(), 2u);
   }
   EXPECT_EQ(read_file(path_), "a,b\n1,2\n3,4\n");
 }

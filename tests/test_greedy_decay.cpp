@@ -52,7 +52,7 @@ TEST(GreedyDecay, DecayEventuallyRotatesSlowUsersIn) {
       break;
     }
   }
-  // selections_until_overtaken(1, 4, 0.9) = 14.
+  // The smallest a with 0.9^a / 1 < 1 / 4 is a = 14.
   EXPECT_EQ(first_slow_round, 14u);
 }
 
@@ -87,16 +87,6 @@ TEST(GreedyDecay, SelectionCountFollowsFraction) {
       {{1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}, {6, 1}, {7, 1}, {8, 1}, {9, 1}, {10, 1}});
   GreedyDecaySelector selector(0.3, 0.9);
   EXPECT_EQ(selector.select({users}).size(), 3u);
-}
-
-TEST(GreedyDecay, ResetClearsCounters) {
-  const auto users = users_with_delays({{1.0, 0.5}, {2.0, 0.5}});
-  GreedyDecaySelector selector(0.5, 0.9);
-  const auto first = selector.select({users});
-  (void)selector.select({users});
-  selector.reset();
-  EXPECT_TRUE(selector.appearance_counts().empty());
-  EXPECT_EQ(selector.select({users}), first);
 }
 
 TEST(GreedyDecay, RejectsFleetSizeChange) {

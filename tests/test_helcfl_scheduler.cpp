@@ -84,11 +84,5 @@ TEST(HelcflScheduler, FirstRoundPrefersFastUsers) {
   for (const auto i : d.selected) EXPECT_GE(i, 14u);
 }
 
-TEST(HelcflScheduler, OptionsAccessors) {
-  HelcflScheduler scheduler({.fraction = 0.25, .eta = 0.75});
-  EXPECT_DOUBLE_EQ(scheduler.options().fraction, 0.25);
-  EXPECT_DOUBLE_EQ(scheduler.selector().eta(), 0.75);
-}
-
 }  // namespace
 }  // namespace helcfl::core

@@ -309,15 +309,32 @@ TEST(KernelParallel, CnnTrainStepIsBitwiseInvariantAcrossThreads) {
 
 TEST(KernelParallel, ScratchStopsGrowingInSteadyStateUnderFourThreads) {
   KernelConfigGuard guard;
+  // A fresh pool: four workers whose thread-local packing scratch is cold.
   tensor::set_kernel_threads(4);
+  const std::uint64_t fresh = tensor::scratch_realloc_count();
   util::Rng rng(0xD1);
   const std::size_t m = 384, k = 128, n = 64;
   const std::vector<float> a = random_vec(m * k, rng);
   const std::vector<float> b = random_vec(k * n, rng);
   std::vector<float> c(m * n);
-  // Warm every pool worker's thread-local packing scratch: each run shards
-  // into 4 row chunks, so a handful of runs reaches all four workers.
-  for (int i = 0; i < 16; ++i) tensor::gemm(m, k, n, a, b, c);
+  // m = 384 shards into four equal kMc = 96 row chunks, and a worker's
+  // first chunk grows its two packing buffers (A and B panels) once.  Which
+  // worker claims which chunk is up to the scheduler, so warm until every
+  // worker has grown rather than for a fixed number of GEMMs.
+  constexpr std::uint64_t kWorkerGrowths = 4 * 2;
+  constexpr int kMaxWarmups = 2000;
+  int warmups = 0;
+  while (tensor::scratch_realloc_count() - fresh < kWorkerGrowths) {
+    ASSERT_LT(warmups, kMaxWarmups)
+        << "after " << warmups << " GEMMs only "
+        << tensor::scratch_realloc_count() - fresh << " of " << kWorkerGrowths
+        << " worker scratch growths happened: a pool worker never claimed "
+           "a chunk";
+    tensor::gemm(m, k, n, a, b, c);
+    ++warmups;
+  }
+  ASSERT_EQ(tensor::scratch_realloc_count() - fresh, kWorkerGrowths)
+      << "a worker grew its scratch more than once for one shape";
   const std::uint64_t before = tensor::scratch_realloc_count();
   for (int i = 0; i < 8; ++i) tensor::gemm(m, k, n, a, b, c);
   EXPECT_EQ(tensor::scratch_realloc_count(), before)

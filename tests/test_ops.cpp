@@ -20,25 +20,6 @@ TEST(Ops, AddInplace) {
   EXPECT_EQ(y, (std::vector<float>{11, 22, 33}));
 }
 
-TEST(Ops, SubInplace) {
-  std::vector<float> y = {10, 20, 30};
-  const std::vector<float> x = {1, 2, 3};
-  sub_inplace(y, x);
-  EXPECT_EQ(y, (std::vector<float>{9, 18, 27}));
-}
-
-TEST(Ops, ScaleInplace) {
-  std::vector<float> y = {1, -2, 3};
-  scale_inplace(y, -2.0F);
-  EXPECT_EQ(y, (std::vector<float>{-2, 4, -6}));
-}
-
-TEST(Ops, Dot) {
-  const std::vector<float> a = {1, 2, 3};
-  const std::vector<float> b = {4, 5, 6};
-  EXPECT_DOUBLE_EQ(dot(a, b), 32.0);
-}
-
 TEST(Ops, GemmIdentity) {
   // A * I = A
   const std::vector<float> a = {1, 2, 3, 4, 5, 6};          // 2x3
@@ -270,36 +251,6 @@ TEST(OpsKernel, ScratchIsReusedInSteadyState) {
   for (int i = 0; i < 5; ++i) gemm(m, k, n, a, b, c);
   EXPECT_EQ(scratch_realloc_count(), before)
       << "steady-state gemm must not grow scratch";
-}
-
-TEST(Ops, TensorAdd) {
-  const Tensor a(Shape{2}, {1, 2});
-  const Tensor b(Shape{2}, {10, 20});
-  const Tensor c = add(a, b);
-  EXPECT_EQ(c[0], 11.0F);
-  EXPECT_EQ(c[1], 22.0F);
-}
-
-TEST(Ops, TensorSub) {
-  const Tensor a(Shape{2}, {10, 20});
-  const Tensor b(Shape{2}, {1, 2});
-  const Tensor c = sub(a, b);
-  EXPECT_EQ(c[0], 9.0F);
-  EXPECT_EQ(c[1], 18.0F);
-}
-
-TEST(Ops, TensorScale) {
-  const Tensor a(Shape{2}, {1, -2});
-  const Tensor c = scale(a, 3.0F);
-  EXPECT_EQ(c[0], 3.0F);
-  EXPECT_EQ(c[1], -6.0F);
-}
-
-TEST(Ops, TensorAddShapeMismatchThrows) {
-  const Tensor a(Shape{2});
-  const Tensor b(Shape{3});
-  EXPECT_THROW(add(a, b), std::invalid_argument);
-  EXPECT_THROW(sub(a, b), std::invalid_argument);
 }
 
 }  // namespace

@@ -39,8 +39,7 @@ TEST(Report, FormatMinutesOrX) {
 
 TEST(Report, FormatJoules) {
   EXPECT_EQ(format_joules(123.456), "123.46J");
-  EXPECT_EQ(format_joules_or_x(std::nullopt), "X");
-  EXPECT_EQ(format_joules_or_x(1.0), "1.00J");
+  EXPECT_EQ(format_joules(1.0), "1.00J");
 }
 
 TEST(Report, FormatPercent) {

@@ -26,7 +26,6 @@ TEST(ByteWriterReader, ScalarRoundTrip) {
   out.u8(0x7F);
   out.u32(0xDEADBEEF);
   out.u64(0x0123456789ABCDEFULL);
-  out.f32(-1.5F);
   out.f64(3.141592653589793);
   out.boolean(true);
   out.boolean(false);
@@ -37,7 +36,6 @@ TEST(ByteWriterReader, ScalarRoundTrip) {
   EXPECT_EQ(in.u8(), 0x7F);
   EXPECT_EQ(in.u32(), 0xDEADBEEFU);
   EXPECT_EQ(in.u64(), 0x0123456789ABCDEFULL);
-  EXPECT_EQ(in.f32(), -1.5F);
   EXPECT_EQ(in.f64(), 3.141592653589793);
   EXPECT_TRUE(in.boolean());
   EXPECT_FALSE(in.boolean());
@@ -61,17 +59,17 @@ TEST(ByteWriterReader, FloatsAreBitExact) {
   const float f_nan = std::nanf("0x12345");
   const double d_nan = std::nan("0x6789A");
   ByteWriter out;
-  out.f32(f_nan);
+  out.vec_f32(std::vector<float>{f_nan, -0.0F});
   out.f64(d_nan);
-  out.f32(-0.0F);
   out.f64(std::numeric_limits<double>::infinity());
 
   ByteReader in(out.data());
-  const float f_back = in.f32();
+  const std::vector<float> f_back = in.vec_f32();
   const double d_back = in.f64();
-  EXPECT_EQ(std::bit_cast<std::uint32_t>(f_back), std::bit_cast<std::uint32_t>(f_nan));
+  ASSERT_EQ(f_back.size(), 2U);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(f_back[0]), std::bit_cast<std::uint32_t>(f_nan));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(d_back), std::bit_cast<std::uint64_t>(d_nan));
-  EXPECT_TRUE(std::signbit(in.f32()));
+  EXPECT_TRUE(std::signbit(f_back[1]));
   EXPECT_TRUE(std::isinf(in.f64()));
 }
 

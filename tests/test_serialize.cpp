@@ -75,13 +75,6 @@ TEST(Serialize, ExtractGradientsMatchesLayout) {
   for (const float g : grads) EXPECT_EQ(g, 0.0F);
 }
 
-TEST(Serialize, ModelSizeBitsIs32PerParameter) {
-  util::Rng rng(6);
-  auto model_ptr = make_two_layer(rng);
-  Sequential& model = *model_ptr;
-  EXPECT_EQ(model_size_bits(model), parameter_count(model) * 32);
-}
-
 TEST(Serialize, StatelessModelHasZeroParameters) {
   Sequential model;
   model.emplace<ReLU>();

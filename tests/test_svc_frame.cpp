@@ -174,9 +174,9 @@ TEST(SvcFrame, BadVersionAndBadTypeAreDistinctRejections) {
   t.u32(999);
   t.u64(0);
   t.u64(helcfl::util::fnv1a64({}));
-  decoder.reset();
-  decoder.feed(t.data());
-  ASSERT_EQ(decoder.next(frame, error), svc::FrameDecoder::Result::kRejected);
+  svc::FrameDecoder fresh;
+  fresh.feed(t.data());
+  ASSERT_EQ(fresh.next(frame, error), svc::FrameDecoder::Result::kRejected);
   EXPECT_EQ(error, svc::FrameError::kBadType);
 }
 

@@ -1,14 +1,17 @@
-// Loopback-TCP differential proof (ISSUE 8).
+// Loopback-TCP differential proof.
 //
-// The PR 7 differential proved that wire faults are invisible in the
+// test_svc_differential proves that wire faults are invisible in the
 // decision stream when the wire is an in-process datagram link.  This test
 // carries that obligation onto the real transport: the same workload
 // (tests/svc_workload.h) is driven through a SocketServer over loopback
 // TCP with
 //
-//   * 10% client-side wire faults (drop / corrupt / duplicate / delay,
-//     injected before the bytes reach the socket),
-//   * 10% server-side egress chaos (drop / corrupt / duplicate), and
+//   * 10% wire faults on the client's requests and reports (drop /
+//     corrupt / duplicate / delay, injected before the bytes reach the
+//     socket),
+//   * 10% faults on the server's responses (drop / corrupt / duplicate),
+//     injected by the same client-side injector on each received frame
+//     before ServiceClient::deliver sees it, and
 //   * reconnect churn — the client tears its connection down every few
 //     pump iterations and whenever the stream stalls (a corrupted length
 //     field can wedge a streaming decoder; reconnecting resets both ends'
@@ -35,8 +38,8 @@ using namespace helcfl::svc_test;
 namespace {
 
 /// Client half of the TCP exchange: ServiceClient owns the protocol
-/// (retries, dedup, barrier), this owns the socket, the client-side fault
-/// injection, and the reconnect churn.
+/// (retries, dedup, barrier), this owns the socket, the fault injection in
+/// both directions, and the reconnect churn.
 class TcpExchange {
  public:
   TcpExchange(const svc::Endpoint& endpoint, svc::ServiceClient& client,
@@ -50,9 +53,12 @@ class TcpExchange {
   std::uint64_t frames_dropped = 0;
   std::uint64_t frames_corrupted = 0;
   std::uint64_t frames_duplicated = 0;
+  std::uint64_t responses_dropped = 0;
+  std::uint64_t responses_corrupted = 0;
+  std::uint64_t responses_duplicated = 0;
 
   /// One pump: transmit due frames (faulted), release delayed copies,
-  /// collect inbound frames, churn the connection on schedule.
+  /// collect inbound frames (faulted), churn the connection on schedule.
   void pump() {
     // Unconditional churn: every kChurnEvery pumps the connection is torn
     // down, so reconnect handling is exercised even on a lucky fault draw
@@ -77,7 +83,7 @@ class TcpExchange {
     std::vector<svc::Frame> inbox;
     channel_->poll_frames(inbox, /*timeout_ms=*/1);
     for (const svc::Frame& frame : inbox) {
-      client_.deliver(svc::encode_frame(frame));
+      deliver_faulted(svc::encode_frame(frame));
     }
     if (!channel_->connected()) channel_.reset();  // server closed us
     ++tick;
@@ -128,16 +134,37 @@ class TcpExchange {
     for (std::size_t c = 0; c < plan.copies; ++c) {
       const auto& delivery = plan.delivery[c];
       std::vector<std::uint8_t> bytes = frame;
-      if (delivery.corrupted && !bytes.empty()) {
-        bytes[delivery.corrupt_index % bytes.size()] ^= delivery.corrupt_mask;
-        ++frames_corrupted;
-      }
+      if (corrupt(bytes, delivery)) ++frames_corrupted;
       if (delivery.delay_ticks > 0) {
         delayed_.push_back(Delayed{tick + delivery.delay_ticks, std::move(bytes)});
       } else {
         send_now(bytes);
       }
     }
+  }
+
+  /// Hands one received response to the client after the injector's plan:
+  /// dropped, corrupted or duplicated.  A delay is ignored: the stream
+  /// already delivered the frame in order.
+  void deliver_faulted(const std::vector<std::uint8_t>& response) {
+    const svc::WireFaultInjector::Plan plan = injector_.plan_frame();
+    if (plan.dropped) {
+      ++responses_dropped;
+      return;
+    }
+    if (plan.copies > 1) ++responses_duplicated;
+    for (std::size_t c = 0; c < plan.copies; ++c) {
+      std::vector<std::uint8_t> bytes = response;
+      if (corrupt(bytes, plan.delivery[c])) ++responses_corrupted;
+      client_.deliver(bytes);
+    }
+  }
+
+  static bool corrupt(std::vector<std::uint8_t>& bytes,
+                      const svc::WireFaultInjector::Delivery& delivery) {
+    if (!delivery.corrupted || bytes.empty()) return false;
+    bytes[delivery.corrupt_index % bytes.size()] ^= delivery.corrupt_mask;
+    return true;
   }
 
   void send_now(const std::vector<std::uint8_t>& bytes) {
@@ -167,6 +194,7 @@ struct TcpRun {
   svc::ServerStats server_stats;
   std::uint64_t reconnects = 0;
   std::uint64_t client_faults = 0;
+  std::uint64_t response_faults = 0;
   std::uint64_t client_retries = 0;
 };
 
@@ -176,14 +204,6 @@ TcpRun run_tcp_workload(double fault_rate, std::uint64_t rounds,
   svc::SchedulerService service(users, service_options());
   svc::ServerOptions server_options;
   server_options.ingress_threads = ingress_threads;
-  if (fault_rate > 0.0) {
-    // Server-side egress chaos: responses are dropped/corrupted/duplicated
-    // before they reach the wire (delay is meaningless on a stream).
-    server_options.egress_chaos.drop_rate = fault_rate;
-    server_options.egress_chaos.corrupt_rate = fault_rate;
-    server_options.egress_chaos.duplicate_rate = fault_rate;
-    server_options.egress_chaos_seed = kSeed + 9;
-  }
   svc::SocketServer server(service, svc::Endpoint::parse("tcp:127.0.0.1:0"),
                            server_options);
   server.start();
@@ -203,6 +223,9 @@ TcpRun run_tcp_workload(double fault_rate, std::uint64_t rounds,
   run.reconnects = exchange.reconnects;
   run.client_faults = exchange.frames_dropped + exchange.frames_corrupted +
                       exchange.frames_duplicated;
+  run.response_faults = exchange.responses_dropped +
+                        exchange.responses_corrupted +
+                        exchange.responses_duplicated;
   run.client_retries = client.retries();
   return run;
 }
@@ -211,7 +234,7 @@ TcpRun run_tcp_workload(double fault_rate, std::uint64_t rounds,
 
 TEST(SvcTcpDifferential, FaultyTcpYieldsIdenticalDecisions) {
   constexpr std::uint64_t kRounds = 8;
-  // Reference: the clean in-process datagram path from PR 7.
+  // Reference: the clean in-process datagram path.
   const std::vector<Pick> reference = run_workload(0.0, kRounds);
 
   const TcpRun tcp = run_tcp_workload(0.10, kRounds, /*ingress_threads=*/2);
@@ -225,14 +248,11 @@ TEST(SvcTcpDifferential, FaultyTcpYieldsIdenticalDecisions) {
   }
 
   // Guard against a vacuous proof: faults and churn must actually have
-  // happened on both sides of the wire.
+  // happened in both directions of the wire.
   EXPECT_GT(tcp.client_faults, 0u);
+  EXPECT_GT(tcp.response_faults, 0u) << "no response was ever faulted";
   EXPECT_GT(tcp.client_retries, 0u);
   EXPECT_GT(tcp.reconnects, 1u) << "churn never reconnected";
-  EXPECT_GT(tcp.server_stats.chaos_dropped + tcp.server_stats.chaos_corrupted +
-                tcp.server_stats.chaos_duplicated,
-            0u)
-      << "egress chaos never fired";
   EXPECT_GE(tcp.server_stats.conns_accepted, tcp.reconnects);
 }
 

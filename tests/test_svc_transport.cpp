@@ -1,11 +1,12 @@
-// Stream-level edge cases of the socket transport (ISSUE 8).
+// Stream-level edge cases of the socket transport.
 //
 // The in-process codec tests (test_svc_frame.cpp) prove the framing layer
 // against adversarial *bytes*; these prove the transport against
 // adversarial *streams*: frames split at every read boundary (1-byte
 // reads), short writes under a tiny kernel send buffer, mid-frame
 // disconnect, decoder resync on a live connection, slow-client
-// backpressure, and lease expiry when a connection dies.
+// backpressure, and lease expiry when a connection dies.  Also what a
+// unix: listen address may remove: a stale socket, never a regular file.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -15,8 +16,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -87,6 +91,39 @@ TEST(Endpoint, ParseRoundTrips) {
   EXPECT_THROW(svc::Endpoint::parse("tcp:127.0.0.1:99999"),
                svc::TransportError);
   EXPECT_THROW(svc::Endpoint::parse("unix:"), svc::TransportError);
+}
+
+TEST(Socket, ListenOnUnixPathKeepsARegularFile) {
+  const std::string path = ::testing::TempDir() + "helcfl_not_a_socket_" +
+                           std::to_string(::getpid());
+  {
+    std::ofstream file(path);
+    file << "keep me\n";
+  }
+  try {
+    (void)svc::Socket::listen_on(svc::Endpoint::parse("unix:" + path));
+    ADD_FAILURE() << "listen_on replaced the regular file at " << path;
+  } catch (const svc::TransportError& error) {
+    EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
+        << "the error must name the path: " << error.what();
+  }
+  std::ifstream file(path);
+  std::string content;
+  std::getline(file, content);
+  EXPECT_EQ(content, "keep me") << "the regular file did not survive";
+  std::remove(path.c_str());
+}
+
+TEST(Socket, ListenOnUnixPathReplacesAStaleSocket) {
+  const svc::Endpoint endpoint = svc::Endpoint::parse(
+      "unix:" + ::testing::TempDir() + "helcfl_stale_" +
+      std::to_string(::getpid()) + ".sock");
+  // A closed listener leaves its socket file behind: the stale case.
+  svc::Socket::listen_on(endpoint).close();
+  svc::Socket again = svc::Socket::listen_on(endpoint);
+  EXPECT_TRUE(again.valid());
+  again.close();
+  std::remove(endpoint.path.c_str());
 }
 
 TEST(FramedConn, ReassemblesOneByteReads) {
@@ -209,9 +246,7 @@ TEST(FramedConn, BackpressureBoundsOutputBuffer) {
   auto [a, b] = svc::Socket::stream_pair();
   a.set_send_buffer(1);
   svc::FramedConn writer(std::move(a),
-                         svc::FramedConn::Options{
-                             .max_output_bytes = 256,
-                             .read_chunk_bytes = std::size_t{64} << 10});
+                         svc::FramedConn::Options{.max_output_bytes = 256});
   // `b` never reads: the kernel buffer fills, then the bounded output
   // buffer, and queue_frame refuses rather than buffering without bound.
   const auto frame = report_frame(0, 1);

@@ -57,11 +57,6 @@ TEST(Tensor, ConstructSizeMismatchThrows) {
   EXPECT_THROW(Tensor(Shape{2, 2}, {1.0F, 2.0F}), std::invalid_argument);
 }
 
-TEST(Tensor, Full) {
-  const Tensor t = Tensor::full(Shape{5}, 2.5F);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(t[i], 2.5F);
-}
-
 TEST(Tensor, Rank4IndexingIsRowMajor) {
   Tensor t(Shape{2, 3, 4, 5});
   t.at(1, 2, 3, 4) = 9.0F;

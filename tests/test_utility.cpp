@@ -60,31 +60,6 @@ TEST(Utility, RejectsNonPositiveDelay) {
   EXPECT_THROW(utility(0, -1.0, 0.5, 0.9), std::invalid_argument);
 }
 
-TEST(SelectionsUntilOvertaken, FastUserEventuallyDropsBelowSlow) {
-  // fast 1s vs slow 4s with eta = 0.9: need eta^a < 1/4,
-  // a > ln(0.25)/ln(0.9) = 13.16 -> 14 selections.
-  const std::size_t a = selections_until_overtaken(1.0, 4.0, 0.9);
-  EXPECT_EQ(a, 14u);
-  // Verify the boundary: after a selections the fast user is below.
-  EXPECT_LT(utility(a, 1.0, 0.0, 0.9), utility(0, 4.0, 0.0, 0.9));
-  EXPECT_GE(utility(a - 1, 1.0, 0.0, 0.9), utility(0, 4.0, 0.0, 0.9));
-}
-
-TEST(SelectionsUntilOvertaken, EqualDelaysNeedOneSelection) {
-  EXPECT_EQ(selections_until_overtaken(2.0, 2.0, 0.9), 1u);
-}
-
-TEST(SelectionsUntilOvertaken, SmallerEtaOvertakesSooner) {
-  EXPECT_LT(selections_until_overtaken(1.0, 6.0, 0.5),
-            selections_until_overtaken(1.0, 6.0, 0.95));
-}
-
-TEST(SelectionsUntilOvertaken, RejectsBadArguments) {
-  EXPECT_THROW(selections_until_overtaken(1.0, 2.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(selections_until_overtaken(0.0, 2.0, 0.9), std::invalid_argument);
-  EXPECT_THROW(selections_until_overtaken(3.0, 2.0, 0.9), std::invalid_argument);
-}
-
 class UtilityEtaSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(UtilityEtaSweep, AlwaysPositiveAndDecaying) {
