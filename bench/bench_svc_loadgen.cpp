@@ -1,11 +1,10 @@
-// Scheduler-service load generator (ISSUE 7 + 8): decisions/sec and p99
+// Scheduler-service load generator: decisions/sec and p99
 // decision latency of the full framed protocol — reports in, acks out,
 // decision request/response — at wire fault rates 0, 1%, and 10%, and over
-// real loopback TCP at 1/2/4 ingress threads.  Faults exercise the
-// rejection, retry, and dedup paths, so the delta between the arms is the
-// price of robustness, not of scheduling; the TCP arms price the socket
-// transport (syscalls, stream reassembly, thread handoff) against the
-// in-process wire.
+// real loopback TCP.  Faults exercise the rejection, retry, and dedup
+// paths, so the delta between the arms is the price of robustness, not of
+// scheduling; the TCP arm prices the socket transport (syscalls, stream
+// reassembly) against the in-process wire.
 //
 //   --transport=tcp     run only the loopback-TCP arms
 //   --transport=inproc  run only the in-process arms
@@ -183,9 +182,9 @@ BENCHMARK(BM_SvcIngest);
 
 // The same barrier protocol as BM_SvcDecisions, but over a real loopback
 // TCP connection into a SocketServer — syscalls, per-connection stream
-// reassembly, the bounded ingress queue, and the reader→service thread
-// handoff are all on the measured path.  Clean wire: the TCP arms price
-// the transport, the fault arms above price robustness.
+// reassembly and the server's poll loop are all on the measured path.
+// Clean wire: the TCP arm prices the transport, the fault arms above price
+// robustness.
 struct TcpHarness {
   svc::SchedulerService service;
   svc::SocketServer server;
@@ -194,7 +193,7 @@ struct TcpHarness {
   std::uint64_t tick = 0;
   std::uint64_t round = 0;
 
-  explicit TcpHarness(std::size_t ingress_threads)
+  TcpHarness()
       : service(cached_users(),
                 [] {
                   svc::ServiceOptions options;
@@ -204,11 +203,7 @@ struct TcpHarness {
                   return options;
                 }()),
         server(service, svc::Endpoint::parse("tcp:127.0.0.1:0"),
-               [ingress_threads] {
-                 svc::ServerOptions options;
-                 options.ingress_threads = ingress_threads;
-                 return options;
-               }()),
+               svc::ServerOptions{}),
         client(
             [] {
               // Ticks advance per pump (microseconds), not per wire
@@ -252,7 +247,7 @@ struct TcpHarness {
 };
 
 void BM_SvcTcpDecisions(benchmark::State& state) {
-  TcpHarness harness(static_cast<std::size_t>(state.range(0)));
+  TcpHarness harness;
   std::vector<double> round_us;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
@@ -273,8 +268,7 @@ void BM_SvcTcpDecisions(benchmark::State& state) {
   state.counters["client_retries"] =
       static_cast<double>(harness.client.retries());
 }
-BENCHMARK(BM_SvcTcpDecisions)->Arg(1)->Arg(2)->Arg(4)->ArgName("ingress_threads")
-    ->Unit(benchmark::kMicrosecond)->MinTime(0.2);
+BENCHMARK(BM_SvcTcpDecisions)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

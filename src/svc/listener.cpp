@@ -1,13 +1,12 @@
 #include "svc/listener.h"
 
-#include <fcntl.h>
 #include <poll.h>
-#include <unistd.h>
 
-#include <algorithm>
-#include <cerrno>
+#include <ctime>
 #include <iterator>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -36,29 +35,20 @@ std::uint64_t payload_u64_of(std::span<const std::uint8_t> bytes) {
   return value;
 }
 
-/// Bounded frame handoff between readers and the service thread; on
-/// overflow the oldest queued *device report* is shed (its sender's retry
-/// recovers it).  Decision requests are never shed here.
-constexpr std::size_t kIngressQueueCapacity = 4096;
-
-/// Service-loop cadence when no traffic arrives — leases still expire on
-/// time because every loop iteration calls poll(tick).
+/// Longest wait of one loop lap when no traffic arrives — leases still
+/// expire on time because every lap calls poll(tick).
 constexpr std::chrono::microseconds kIdlePollInterval{500};
 
 /// How long stop() keeps flushing pending output before closing.
 constexpr std::chrono::milliseconds kDrainTimeout{1000};
 
-void drain_pipe(int fd) {
-  std::uint8_t buf[256];
-  while (::read(fd, buf, sizeof(buf)) > 0) {
-  }
-}
-
 }  // namespace
 
 void ServerOptions::validate() const {
-  if (ingress_threads == 0) {
-    throw ServiceError("ServerOptions: ingress_threads must be >= 1");
+  if (ingress_threads != 1) {
+    throw ServiceError(
+        "ServerOptions: ingress_threads must be 1 (one thread serves every "
+        "socket)");
   }
   if (max_conn_output_bytes < kFrameHeaderBytes) {
     throw ServiceError(
@@ -109,370 +99,161 @@ void SocketServer::start() {
                         ? listen_socket_.local_endpoint()
                         : requested_endpoint_;
   start_time_ = std::chrono::steady_clock::now();
-
-  readers_.clear();
-  for (std::size_t i = 0; i < options_.ingress_threads; ++i) {
-    auto reader = std::make_unique<Reader>();
-    int fds[2];
-    if (::pipe2(fds, O_NONBLOCK | O_CLOEXEC) < 0) {
-      throw TransportError("pipe2 failed for reader wakeup");
-    }
-    reader->wake_read_fd = fds[0];
-    reader->wake_write_fd = fds[1];
-    readers_.push_back(std::move(reader));
-  }
-
-  running_.store(true, std::memory_order_release);
-  stopping_.store(false, std::memory_order_release);
-  service_stop_.store(false, std::memory_order_release);
-
-  for (std::size_t i = 0; i < readers_.size(); ++i) {
-    readers_[i]->thread = std::thread([this, i] { reader_loop(i); });
-  }
-  service_thread_ = std::thread([this] { service_loop(); });
-  acceptor_thread_ = std::thread([this] { acceptor_loop(); });
+  thread_ = std::thread([this] { serve_loop(); });
 }
 
 void SocketServer::stop() {
-  if (!started_ || !running_.load(std::memory_order_acquire)) return;
+  if (!thread_.joinable()) return;
+  stop_.store(true, std::memory_order_release);
+  thread_.join();
+}
 
-  // Phase 1: no new connections, no new ingress.  Readers drain their
-  // sockets' pending bytes on the way out (they exit at loop top).
-  stopping_.store(true, std::memory_order_release);
-  for (auto& reader : readers_) wake_reader(*reader);
-  if (acceptor_thread_.joinable()) acceptor_thread_.join();
-  for (auto& reader : readers_) {
-    if (reader->thread.joinable()) reader->thread.join();
-  }
+void SocketServer::serve_loop() {
+  constexpr timespec kTimeout{
+      0, std::chrono::duration_cast<std::chrono::nanoseconds>(kIdlePollInterval)
+             .count()};
+  std::vector<pollfd> pfds;
+  std::vector<std::uint64_t> polled;  ///< connection id of pfds[i + 1]
 
-  // Phase 2: the service thread consumes everything already queued, runs
-  // one final poll, and routes the last outbox.
-  service_stop_.store(true, std::memory_order_release);
-  ingress_cv_.notify_all();
-  if (service_thread_.joinable()) service_thread_.join();
-
-  // Phase 3: flush whatever output is still buffered, then close.
-  drain_output();
-
-  {
-    std::lock_guard lock(conns_mutex_);
-    for (auto& [id, conn] : conns_) {
-      std::lock_guard conn_lock(conn->mutex);
-      if (!conn->closed.load(std::memory_order_acquire)) {
-        conn->closed.store(true, std::memory_order_release);
-        stats_.conns_closed.fetch_add(1, std::memory_order_relaxed);
-        count("svc.conn_closed");
+  for (;;) {
+    const bool last_lap = stop_.load(std::memory_order_acquire);
+    polled.clear();
+    if (!last_lap) {
+      pfds.assign(1, pollfd{listen_socket_.fd(), POLLIN, 0});
+      for (const auto& [id, conn] : conns_) {
+        const short events = conn.want_write() ? POLLIN | POLLOUT : POLLIN;
+        pfds.push_back(pollfd{conn.socket().fd(), events, 0});
+        polled.push_back(id);
       }
-      conn->framed.socket().close();
+      if (::ppoll(pfds.data(), pfds.size(), &kTimeout, nullptr) < 0) continue;
+      if (pfds[0].revents & POLLIN) accept_pending();
     }
-    conns_.clear();
+    const std::uint64_t tick = current_tick();
+    for (std::size_t i = 0; i < polled.size(); ++i) {
+      const short revents = pfds[i + 1].revents;
+      if (revents & (POLLIN | POLLHUP | POLLERR)) {
+        read_conn(polled[i], tick, (revents & POLLHUP) != 0);
+      }
+    }
+    poll_and_route(tick);
+    if (last_lap) break;
+    for (auto it = conns_.begin(); it != conns_.end();) {
+      it = it->second.flush() == FramedConn::IoStatus::kOk ? std::next(it)
+                                                          : close_conn(it);
+    }
   }
+
+  drain_output();
+  for (auto it = conns_.begin(); it != conns_.end();) it = close_conn(it);
   listen_socket_.close();
-  for (auto& reader : readers_) {
-    if (reader->wake_read_fd >= 0) ::close(reader->wake_read_fd);
-    if (reader->wake_write_fd >= 0) ::close(reader->wake_write_fd);
-    reader->wake_read_fd = reader->wake_write_fd = -1;
+}
+
+void SocketServer::accept_pending() {
+  for (;;) {
+    std::optional<Socket> accepted;
+    try {
+      accepted = listen_socket_.accept_one();
+    } catch (const TransportError&) {
+      return;  // transient accept failure; retry on the next lap
+    }
+    if (!accepted.has_value()) return;
+    if (options_.conn_send_buffer_bytes > 0) {
+      try {
+        accepted->set_send_buffer(options_.conn_send_buffer_bytes);
+      } catch (const TransportError&) {
+      }
+    }
+    const std::uint64_t id = next_conn_id_++;
+    conns_.emplace(
+        id, FramedConn(std::move(*accepted),
+                       FramedConn::Options{.max_output_bytes =
+                                               options_.max_conn_output_bytes}));
+    stats_.conns_accepted.fetch_add(1, std::memory_order_relaxed);
+    count("svc.conn_accepted");
+    trace_conn(id, "accept");
   }
-  running_.store(false, std::memory_order_release);
+}
+
+void SocketServer::read_conn(std::uint64_t conn_id, std::uint64_t tick,
+                             bool hung_up) {
+  const auto it = conns_.find(conn_id);
+  if (it == conns_.end()) return;
+  std::vector<Frame> frames;
+  const FramedConn::IoStatus status = it->second.read_frames(frames);
+  for (const Frame& frame : frames) {
+    // Route bookkeeping: replies chase the latest connection a sender
+    // used, so reconnects are transparent.
+    if (frame.type == MsgType::kDeviceReport) {
+      try {
+        device_route_[decode_device_report(frame.payload).device_id] = conn_id;
+      } catch (const util::SerialError&) {
+        // Malformed payload: the service counts it below.
+      }
+    } else if (frame.type == MsgType::kDecisionRequest) {
+      controller_conn_ = conn_id;
+    }
+    stats_.ingress_frames.fetch_add(1, std::memory_order_relaxed);
+    count("svc.ingress_frames");
+    service_.ingest(frame, tick);
+  }
+  if (status == FramedConn::IoStatus::kError) count("svc.conn_read_errors");
+  // A hung-up peer has sent its last byte and can read no reply: close
+  // before routing, so replies to what it sent count as unroutable.
+  if (status != FramedConn::IoStatus::kOk || hung_up) close_conn(it);
+}
+
+void SocketServer::poll_and_route(std::uint64_t tick) {
+  service_.poll(tick);
+  for (const std::vector<std::uint8_t>& frame : service_.take_outbox()) {
+    const auto it = conns_.find(route_of(frame));
+    if (it == conns_.end()) {
+      count("svc.egress_unroutable");
+    } else if (!it->second.queue_frame(frame)) {
+      stats_.conns_stalled.fetch_add(1, std::memory_order_relaxed);
+      count("svc.conn_stalled");
+      trace_conn(it->first, "stall");
+      close_conn(it);
+    } else {
+      stats_.egress_frames.fetch_add(1, std::memory_order_relaxed);
+      count("svc.egress_frames");
+    }
+  }
+  stats_.decisions_issued.store(service_.stats().decisions,
+                                std::memory_order_relaxed);
+}
+
+std::uint64_t SocketServer::route_of(
+    std::span<const std::uint8_t> frame_bytes) const {
+  const std::uint32_t type = frame_type_of(frame_bytes);
+  if (type == static_cast<std::uint32_t>(MsgType::kReportAck)) {
+    const auto it = device_route_.find(payload_u64_of(frame_bytes));
+    return it != device_route_.end() ? it->second : 0;
+  }
+  if (type == static_cast<std::uint32_t>(MsgType::kDecisionResponse)) {
+    return controller_conn_;
+  }
+  return 0;
+}
+
+SocketServer::ConnMap::iterator SocketServer::close_conn(ConnMap::iterator it) {
+  const std::uint64_t id = it->first;
+  std::erase_if(device_route_, [id](const auto& route) { return route.second == id; });
+  if (controller_conn_ == id) controller_conn_ = 0;
+  stats_.conns_closed.fetch_add(1, std::memory_order_relaxed);
+  count("svc.conn_closed");
+  trace_conn(id, "close");
+  return conns_.erase(it);  // the FramedConn's socket closes with it
 }
 
 void SocketServer::drain_output() {
   const auto deadline = std::chrono::steady_clock::now() + kDrainTimeout;
-  std::vector<ConnPtr> open;
-  {
-    std::lock_guard lock(conns_mutex_);
-    for (auto& [id, conn] : conns_) {
-      if (!conn->closed.load(std::memory_order_acquire)) open.push_back(conn);
-    }
-  }
-  for (const ConnPtr& conn : open) {
-    std::lock_guard conn_lock(conn->mutex);
-    while (conn->framed.want_write() &&
-           std::chrono::steady_clock::now() < deadline) {
-      const FramedConn::IoStatus status = conn->framed.flush();
-      if (status != FramedConn::IoStatus::kOk) break;
-      if (!conn->framed.want_write()) break;
-      pollfd pfd{conn->framed.socket().fd(), POLLOUT, 0};
+  for (auto& [id, conn] : conns_) {
+    while (conn.want_write() && std::chrono::steady_clock::now() < deadline) {
+      if (conn.flush() != FramedConn::IoStatus::kOk) break;
+      if (!conn.want_write()) break;
+      pollfd pfd{conn.socket().fd(), POLLOUT, 0};
       (void)::poll(&pfd, 1, /*timeout_ms=*/10);
     }
-  }
-}
-
-void SocketServer::wake_reader(Reader& reader) {
-  const std::uint8_t byte = 1;
-  if (reader.wake_write_fd >= 0) {
-    // A full pipe already guarantees a pending wakeup.
-    (void)!::write(reader.wake_write_fd, &byte, 1);
-  }
-}
-
-void SocketServer::acceptor_loop() {
-  std::size_t next_reader = 0;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_socket_.fd(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
-    if (ready <= 0) continue;
-    for (;;) {
-      std::optional<Socket> accepted;
-      try {
-        accepted = listen_socket_.accept_one();
-      } catch (const TransportError&) {
-        break;  // transient accept failure; retry on the next poll
-      }
-      if (!accepted.has_value()) break;
-      if (options_.conn_send_buffer_bytes > 0) {
-        try {
-          accepted->set_send_buffer(options_.conn_send_buffer_bytes);
-        } catch (const TransportError&) {
-        }
-      }
-      auto conn = std::make_shared<Conn>();
-      conn->id = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
-      conn->owner = next_reader;
-      conn->framed = FramedConn(
-          std::move(*accepted),
-          FramedConn::Options{.max_output_bytes = options_.max_conn_output_bytes});
-      {
-        std::lock_guard lock(conns_mutex_);
-        conns_.emplace(conn->id, conn);
-      }
-      Reader& reader = *readers_[next_reader];
-      {
-        std::lock_guard lock(reader.mutex);
-        reader.conns.push_back(conn);
-      }
-      wake_reader(reader);
-      next_reader = (next_reader + 1) % readers_.size();
-      stats_.conns_accepted.fetch_add(1, std::memory_order_relaxed);
-      count("svc.conn_accepted");
-      trace_conn(conn->id, "accept");
-    }
-  }
-}
-
-void SocketServer::reader_loop(std::size_t index) {
-  Reader& reader = *readers_[index];
-  std::vector<pollfd> pfds;
-  std::vector<ConnPtr> polled;
-  std::vector<Frame> frames;
-
-  while (!stopping_.load(std::memory_order_acquire)) {
-    // Reap connections closed since the last lap (by this thread on I/O
-    // failure or by the service thread on output-backlog overflow).
-    std::vector<ConnPtr> reaped;
-    {
-      std::lock_guard lock(reader.mutex);
-      auto it = std::partition(
-          reader.conns.begin(), reader.conns.end(), [](const ConnPtr& c) {
-            return !c->closed.load(std::memory_order_acquire);
-          });
-      reaped.assign(it, reader.conns.end());
-      reader.conns.erase(it, reader.conns.end());
-    }
-    for (const ConnPtr& conn : reaped) {
-      {
-        std::lock_guard conn_lock(conn->mutex);
-        conn->framed.socket().close();
-      }
-      {
-        std::lock_guard lock(conns_mutex_);
-        conns_.erase(conn->id);
-      }
-      stats_.conns_closed.fetch_add(1, std::memory_order_relaxed);
-      count("svc.conn_closed");
-      trace_conn(conn->id, "close");
-      enqueue_ingress(IngressItem{IngressItem::Kind::kConnClosed, conn->id, {}});
-    }
-
-    pfds.clear();
-    polled.clear();
-    pfds.push_back(pollfd{reader.wake_read_fd, POLLIN, 0});
-    {
-      std::lock_guard lock(reader.mutex);
-      for (const ConnPtr& conn : reader.conns) {
-        short events = POLLIN;
-        {
-          std::lock_guard conn_lock(conn->mutex);
-          if (conn->framed.want_write()) events |= POLLOUT;
-          pfds.push_back(pollfd{conn->framed.socket().fd(), events, 0});
-        }
-        polled.push_back(conn);
-      }
-    }
-
-    const int ready = ::poll(pfds.data(), pfds.size(), /*timeout_ms=*/50);
-    if (ready < 0) continue;
-    if (pfds[0].revents & POLLIN) drain_pipe(reader.wake_read_fd);
-
-    for (std::size_t i = 0; i < polled.size(); ++i) {
-      const short revents = pfds[i + 1].revents;
-      if (revents == 0) continue;
-      const ConnPtr& conn = polled[i];
-      if (conn->closed.load(std::memory_order_acquire)) continue;
-      bool dead = false;
-      bool read_error = false;
-      frames.clear();
-      {
-        std::lock_guard conn_lock(conn->mutex);
-        if (revents & (POLLIN | POLLHUP | POLLERR)) {
-          const FramedConn::IoStatus status = conn->framed.read_frames(frames);
-          if (status == FramedConn::IoStatus::kClosed) dead = true;
-          if (status == FramedConn::IoStatus::kError) {
-            dead = true;
-            read_error = true;
-          }
-        }
-        if (!dead && (revents & POLLOUT)) {
-          if (conn->framed.flush() != FramedConn::IoStatus::kOk) dead = true;
-        }
-      }
-      for (Frame& frame : frames) {
-        enqueue_ingress(
-            IngressItem{IngressItem::Kind::kFrame, conn->id, std::move(frame)});
-      }
-      if (read_error) count("svc.conn_read_errors");
-      if (dead) conn->closed.store(true, std::memory_order_release);
-    }
-  }
-}
-
-void SocketServer::enqueue_ingress(IngressItem item) {
-  {
-    std::lock_guard lock(ingress_mutex_);
-    if (item.kind == IngressItem::Kind::kFrame &&
-        ingress_queue_.size() >= kIngressQueueCapacity) {
-      // Oldest-first shedding, reports only: the shed sender's retry
-      // recovers it, and decision requests must never vanish here.
-      auto oldest = std::find_if(
-          ingress_queue_.begin(), ingress_queue_.end(), [](const IngressItem& q) {
-            return q.kind == IngressItem::Kind::kFrame &&
-                   q.frame.type == MsgType::kDeviceReport;
-          });
-      if (oldest != ingress_queue_.end()) {
-        ingress_queue_.erase(oldest);
-        stats_.ingress_shed.fetch_add(1, std::memory_order_relaxed);
-        count("svc.ingress_shed");
-      } else if (item.frame.type == MsgType::kDeviceReport) {
-        stats_.ingress_shed.fetch_add(1, std::memory_order_relaxed);
-        count("svc.ingress_shed");
-        return;  // all queued work is requests/control; drop the newcomer
-      }
-    }
-    if (item.kind == IngressItem::Kind::kFrame) {
-      stats_.ingress_frames.fetch_add(1, std::memory_order_relaxed);
-      count("svc.ingress_frames");
-    }
-    ingress_queue_.push_back(std::move(item));
-  }
-  ingress_cv_.notify_one();
-}
-
-SocketServer::ConnPtr SocketServer::route_of(
-    std::span<const std::uint8_t> frame_bytes) {
-  const std::uint32_t type = frame_type_of(frame_bytes);
-  std::uint64_t conn_id = 0;
-  if (type == static_cast<std::uint32_t>(MsgType::kReportAck)) {
-    const std::uint64_t device = payload_u64_of(frame_bytes);
-    const auto it = device_route_.find(device);
-    if (it == device_route_.end()) return nullptr;
-    conn_id = it->second;
-  } else if (type == static_cast<std::uint32_t>(MsgType::kDecisionResponse)) {
-    conn_id = controller_conn_;
-  }
-  if (conn_id == 0) return nullptr;
-  std::lock_guard lock(conns_mutex_);
-  const auto it = conns_.find(conn_id);
-  return it != conns_.end() ? it->second : nullptr;
-}
-
-void SocketServer::deliver_to_conn(const ConnPtr& conn,
-                                   std::span<const std::uint8_t> frame_bytes) {
-  if (conn == nullptr || conn->closed.load(std::memory_order_acquire)) {
-    count("svc.egress_unroutable");
-    return;
-  }
-  bool stalled = false;
-  bool need_wake = false;
-  {
-    std::lock_guard conn_lock(conn->mutex);
-    if (!conn->framed.queue_frame(frame_bytes)) {
-      stalled = true;
-    } else {
-      // Opportunistic flush: the reader may be mid-poll without POLLOUT
-      // for this connection; often the kernel takes the frame right now.
-      const FramedConn::IoStatus status = conn->framed.flush();
-      if (status != FramedConn::IoStatus::kOk) {
-        conn->closed.store(true, std::memory_order_release);
-        need_wake = true;
-      } else if (conn->framed.want_write()) {
-        need_wake = true;
-      }
-    }
-  }
-  if (stalled) {
-    conn->closed.store(true, std::memory_order_release);
-    stats_.conns_stalled.fetch_add(1, std::memory_order_relaxed);
-    count("svc.conn_stalled");
-    trace_conn(conn->id, "stall");
-    need_wake = true;
-  } else {
-    stats_.egress_frames.fetch_add(1, std::memory_order_relaxed);
-    count("svc.egress_frames");
-  }
-  if (need_wake) wake_reader(*readers_[conn->owner]);
-}
-
-void SocketServer::service_loop() {
-  std::vector<IngressItem> batch;
-
-  auto process_batch = [&] {
-    const std::uint64_t tick = current_tick();
-    for (IngressItem& item : batch) {
-      if (item.kind == IngressItem::Kind::kConnClosed) {
-        for (auto it = device_route_.begin(); it != device_route_.end();) {
-          it = it->second == item.conn_id ? device_route_.erase(it)
-                                          : std::next(it);
-        }
-        if (controller_conn_ == item.conn_id) controller_conn_ = 0;
-        continue;
-      }
-      // Route bookkeeping: replies chase the latest connection a sender
-      // used, so reconnects are transparent.
-      if (item.frame.type == MsgType::kDeviceReport) {
-        try {
-          const DeviceReport report = decode_device_report(item.frame.payload);
-          device_route_[report.device_id] = item.conn_id;
-        } catch (const util::SerialError&) {
-          // Malformed payload: the service counts it below.
-        }
-      } else if (item.frame.type == MsgType::kDecisionRequest) {
-        controller_conn_ = item.conn_id;
-      }
-      service_.ingest(item.frame, tick);
-    }
-    batch.clear();
-    service_.poll(tick);
-    for (const std::vector<std::uint8_t>& frame : service_.take_outbox()) {
-      deliver_to_conn(route_of(frame), frame);
-    }
-    stats_.decisions_issued.store(service_.stats().decisions,
-                                  std::memory_order_relaxed);
-  };
-
-  for (;;) {
-    {
-      std::unique_lock lock(ingress_mutex_);
-      ingress_cv_.wait_for(lock, kIdlePollInterval, [&] {
-        return !ingress_queue_.empty() ||
-               service_stop_.load(std::memory_order_acquire);
-      });
-      batch.assign(std::make_move_iterator(ingress_queue_.begin()),
-                   std::make_move_iterator(ingress_queue_.end()));
-      ingress_queue_.clear();
-    }
-    const bool last_lap = service_stop_.load(std::memory_order_acquire);
-    process_batch();
-    if (last_lap) break;  // readers are joined: the drained batch was final
   }
 }
 
@@ -482,20 +263,10 @@ ServerStats SocketServer::stats() const {
   snapshot.conns_closed = stats_.conns_closed.load(std::memory_order_relaxed);
   snapshot.conns_stalled = stats_.conns_stalled.load(std::memory_order_relaxed);
   snapshot.ingress_frames = stats_.ingress_frames.load(std::memory_order_relaxed);
-  snapshot.ingress_shed = stats_.ingress_shed.load(std::memory_order_relaxed);
   snapshot.egress_frames = stats_.egress_frames.load(std::memory_order_relaxed);
   snapshot.decisions_issued =
       stats_.decisions_issued.load(std::memory_order_relaxed);
   return snapshot;
-}
-
-std::size_t SocketServer::open_connections() const {
-  std::lock_guard lock(conns_mutex_);
-  std::size_t open = 0;
-  for (const auto& [id, conn] : conns_) {
-    if (!conn->closed.load(std::memory_order_acquire)) ++open;
-  }
-  return open;
 }
 
 }  // namespace helcfl::svc

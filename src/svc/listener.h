@@ -1,30 +1,31 @@
-// Multi-threaded socket front end for SchedulerService (docs/SERVICE.md §7).
+// Socket front end for SchedulerService (docs/SERVICE.md §8).
 //
 // SocketServer turns the single-threaded, logical-tick service core into a
-// network server without touching its decision semantics:
+// network server without touching its decision semantics.  One loop
+// thread owns the listen socket, every connection and the service; each
+// lap it
 //
-//   acceptor thread ──► reader threads (N) ──► bounded ingress queue ──►
-//                                             service thread (the ONLY
-//                                             caller of SchedulerService)
+//   1. ppoll()s the listen socket and every connection (at most
+//      kIdlePollInterval, 500 µs, so leases expire on time and stop() is
+//      seen promptly);
+//   2. accepts pending connections;
+//   3. reads every readable connection, reassembles frames with its
+//      streaming decoder (svc/transport.h) and ingests each one into
+//      SchedulerService at a logical tick derived from wall time (or an
+//      injected tick_source);
+//   4. polls the service and queues each outbox frame on its connection;
+//   5. flushes each connection once.
 //
-//   * the acceptor accepts connections and assigns them round-robin to
-//     the N reader threads;
-//   * each reader poll()s its connections, reassembles frames with the
-//     per-connection streaming decoder (svc/transport.h), and pushes
-//     validated frames into the ingress queue — the queue is bounded and
-//     sheds the *oldest queued device report* on overflow, the same
-//     newest-data-wins policy the service applies to its own queue;
-//   * the service thread is the sole consumer: it feeds frames to
-//     SchedulerService, drives poll() on a logical tick derived from
-//     wall time (or an injected tick_source), and routes the outbox back
-//     to connections — so `controller_seq` exactly-once processing and
-//     snapshot byte-identity are exactly what they were in-process.
+// The service sees exactly the calls it would see in-process, so
+// `controller_seq` exactly-once processing and snapshot byte-identity are
+// what they were there.  The service's bounded report queue
+// (`queue_capacity`, `svc.sheds`) is the only place load is shed.
 //
 // Response routing: a ReportAck goes to the connection that most recently
 // sent a report for that device; a DecisionResponse goes to the connection
 // that most recently sent a decision request.  A response whose connection
-// died is dropped — the peer's retransmit (after reconnecting) recovers
-// it, exactly like a lost datagram.
+// died is dropped (`svc.egress_unroutable`) — the peer's retransmit (after
+// reconnecting) recovers it, exactly like a lost datagram.
 //
 // Slow peers: each connection's output buffer is bounded
 // (max_conn_output_bytes); a peer that stops reading long enough to fill
@@ -32,24 +33,19 @@
 // bound.  Disconnection is never fatal to the protocol: the lease model
 // parks silent devices, retries re-deliver lost messages.
 //
-// stop() drains gracefully: no new connections, remaining queued frames
-// are processed, pending output is flushed (for at most kDrainTimeout, one
-// second), then sockets close.
+// stop() drains gracefully: the loop stops accepting and reading, polls
+// the service one last time, routes its outbox, flushes pending output
+// for at most kDrainTimeout (one second), then closes every socket.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "obs/instruments.h"
 #include "svc/service.h"
@@ -64,17 +60,16 @@ struct ServerStats {
   std::uint64_t conns_accepted = 0;
   std::uint64_t conns_closed = 0;    ///< every close, any reason
   std::uint64_t conns_stalled = 0;   ///< closed for output-backlog overflow
-  std::uint64_t ingress_frames = 0;  ///< validated frames queued
-  std::uint64_t ingress_shed = 0;    ///< oldest-report sheds by the queue
+  std::uint64_t ingress_frames = 0;  ///< validated frames handed to the service
   std::uint64_t egress_frames = 0;   ///< outbox frames routed to a peer
-  /// Mirror of the service's decision counter, published by the service
+  /// Mirror of the service's decision counter, published by the loop
   /// thread — the race-free way to watch progress while the server runs.
   std::uint64_t decisions_issued = 0;
 };
 
 struct ServerOptions {
-  /// Reader threads decoding ingress in parallel (the acceptor and the
-  /// service loop are one thread each on top).
+  /// Must be 1: one loop thread serves every socket.  Kept only because
+  /// the repository benchmark's svc workload still assigns it.
   std::size_t ingress_threads = 1;
 
   /// Per-connection output backlog bound; exceeding it closes the
@@ -96,7 +91,8 @@ struct ServerOptions {
 
 /// See the header comment.  The service is borrowed: the caller constructs
 /// (and may snapshot/restore) it, but must not touch it between start()
-/// and stop() — the service thread is the only permitted caller.
+/// and stop() — the loop thread is the only permitted caller.  start(),
+/// stop() and stats() are the only members other threads may call.
 class SocketServer {
  public:
   SocketServer(SchedulerService& service, const Endpoint& endpoint,
@@ -105,63 +101,37 @@ class SocketServer {
   SocketServer(const SocketServer&) = delete;
   SocketServer& operator=(const SocketServer&) = delete;
 
-  /// Binds, listens, and spawns the acceptor, reader, and service
-  /// threads.  Throws TransportError/ServiceError on setup failure.
+  /// Binds, listens, and spawns the loop thread.  Throws
+  /// TransportError/ServiceError on setup failure.
   void start();
 
   /// Graceful drain; idempotent.  Safe to call from any thread except the
   /// server's own.
   void stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
-
   /// The bound endpoint (resolves an ephemeral tcp:...:0 port).  Only
   /// valid after start().
   const Endpoint& endpoint() const { return bound_endpoint_; }
 
   ServerStats stats() const;
-  std::size_t open_connections() const;
 
  private:
-  struct Conn {
-    std::uint64_t id = 0;
-    std::size_t owner = 0;  ///< reader thread index
-    FramedConn framed;      ///< guarded by `mutex`
-    std::mutex mutex;
-    std::atomic<bool> closed{false};
-  };
-  using ConnPtr = std::shared_ptr<Conn>;
+  using ConnMap = std::unordered_map<std::uint64_t, FramedConn>;
 
-  struct IngressItem {
-    enum class Kind { kFrame, kConnClosed };
-    Kind kind = Kind::kFrame;
-    std::uint64_t conn_id = 0;
-    Frame frame;
-  };
-
-  /// One reader thread's self-wakeable poll loop state.
-  struct Reader {
-    std::thread thread;
-    std::mutex mutex;                ///< guards `conns`
-    std::vector<ConnPtr> conns;
-    int wake_read_fd = -1;
-    int wake_write_fd = -1;
-  };
-
-  void acceptor_loop();
-  void reader_loop(std::size_t index);
-  void service_loop();
-
-  void wake_reader(Reader& reader);
-  void enqueue_ingress(IngressItem item);
-  /// Routes one encoded outbox frame to its connection (nullptr = drop).
-  ConnPtr route_of(std::span<const std::uint8_t> frame_bytes);
-  void deliver_to_conn(const ConnPtr& conn,
-                       std::span<const std::uint8_t> frame_bytes);
+  void serve_loop();
+  void accept_pending();
+  /// Reads one readable connection and ingests its frames at `tick`;
+  /// closes it on EOF, error or `hung_up`.
+  void read_conn(std::uint64_t conn_id, std::uint64_t tick, bool hung_up);
+  /// Polls the service and queues its outbox on the routed connections.
+  void poll_and_route(std::uint64_t tick);
+  /// Connection that should receive one encoded outbox frame (0 = none).
+  std::uint64_t route_of(std::span<const std::uint8_t> frame_bytes) const;
+  ConnMap::iterator close_conn(ConnMap::iterator it);
+  void drain_output();
   std::uint64_t current_tick() const;
   void count(std::string_view name, std::uint64_t delta = 1);
   void trace_conn(std::uint64_t conn_id, std::string_view kind);
-  void drain_output();
 
   SchedulerService& service_;
   Endpoint requested_endpoint_;
@@ -169,42 +139,29 @@ class SocketServer {
   ServerOptions options_;
   obs::Instruments instruments_;
 
+  // Loop thread only (between start() and stop()).
   Socket listen_socket_;
-  std::thread acceptor_thread_;
-  std::vector<std::unique_ptr<Reader>> readers_;
-  std::thread service_thread_;
-
-  // Ingress queue: readers produce, the service thread consumes.
-  std::mutex ingress_mutex_;
-  std::condition_variable ingress_cv_;
-  std::deque<IngressItem> ingress_queue_;
-
-  // Connection registry (service thread routes by id; stop() drains).
-  mutable std::mutex conns_mutex_;
-  std::unordered_map<std::uint64_t, ConnPtr> conns_;
-  std::atomic<std::uint64_t> next_conn_id_{1};
-
-  // Routing state — service thread only.
+  ConnMap conns_;
+  std::uint64_t next_conn_id_ = 1;
   std::unordered_map<std::uint64_t, std::uint64_t> device_route_;
   std::uint64_t controller_conn_ = 0;
 
   std::chrono::steady_clock::time_point start_time_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};      ///< acceptor + readers exit
-  std::atomic<bool> service_stop_{false};  ///< service loop final-drains
+  std::atomic<bool> stop_{false};
   bool started_ = false;
 
-  // Stats (atomics: touched from acceptor/reader/service threads).
+  // Written by the loop thread, read by stats() from any thread.
   struct AtomicStats {
     std::atomic<std::uint64_t> conns_accepted{0};
     std::atomic<std::uint64_t> conns_closed{0};
     std::atomic<std::uint64_t> conns_stalled{0};
     std::atomic<std::uint64_t> ingress_frames{0};
-    std::atomic<std::uint64_t> ingress_shed{0};
     std::atomic<std::uint64_t> egress_frames{0};
     std::atomic<std::uint64_t> decisions_issued{0};
   };
   AtomicStats stats_;
+
+  std::thread thread_;  ///< last: it uses every member above
 };
 
 }  // namespace helcfl::svc

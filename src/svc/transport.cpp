@@ -35,17 +35,25 @@ void set_nonblocking(const Socket& sock) {
 }
 
 /// Removes a previous server's socket file at `path`, which would make
-/// bind fail with EADDRINUSE even though nobody is listening.  Anything
-/// else at the path is left alone: a listen address must never delete a
-/// user's file.
-void remove_stale_socket(const std::string& path) {
+/// bind fail with EADDRINUSE even though nobody is listening.  A socket
+/// file whose server still accepts connections is that server's address,
+/// and anything that is not a socket is a user's file: both make it throw.
+void remove_stale_socket(const std::string& path, const sockaddr_un& addr) {
   struct stat st {};
   if (::lstat(path.c_str(), &st) < 0) return;  // nothing there; bind decides
   if (!S_ISSOCK(st.st_mode)) {
     throw TransportError("refusing to listen on unix:" + path +
                          ": the path exists and is not a socket");
   }
-  (void)::unlink(path.c_str());
+  const Socket probe(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  if (!probe.valid()) fail("socket(AF_UNIX)");
+  if (::connect(probe.fd(), reinterpret_cast<const sockaddr*>(&addr),
+                sizeof(addr)) == 0) {
+    throw TransportError("refusing to listen on unix:" + path +
+                         ": a server is listening there");
+  }
+  // Only a refused connect proves the file stale; otherwise bind decides.
+  if (errno == ECONNREFUSED) (void)::unlink(path.c_str());
 }
 
 void set_tcp_nodelay(int fd) {
@@ -131,7 +139,7 @@ Socket Socket::listen_on(const Endpoint& endpoint) {
     const sockaddr_un addr = unix_address(endpoint.path);
     Socket sock(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
     if (!sock.valid()) fail("socket(AF_UNIX)");
-    remove_stale_socket(endpoint.path);
+    remove_stale_socket(endpoint.path, addr);
     if (::bind(sock.fd(), reinterpret_cast<const sockaddr*>(&addr),
                sizeof(addr)) < 0) {
       fail("bind(" + endpoint.to_string() + ")");

@@ -87,8 +87,9 @@ class Socket {
   void close();
 
   /// Binds and listens on `endpoint` (SO_REUSEADDR for TCP; a stale Unix
-  /// socket file is unlinked first, but any other file at the path makes
-  /// it throw instead).  Throws TransportError on failure.
+  /// socket file, one that refuses a connect, is unlinked first, but a
+  /// live server's socket or any other file at the path makes it throw
+  /// instead).  Throws TransportError on failure.
   static Socket listen_on(const Endpoint& endpoint);
 
   /// Connects to `endpoint` (blocking connect, then switched to

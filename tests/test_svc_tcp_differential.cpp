@@ -198,14 +198,11 @@ struct TcpRun {
   std::uint64_t client_retries = 0;
 };
 
-TcpRun run_tcp_workload(double fault_rate, std::uint64_t rounds,
-                        std::size_t ingress_threads) {
+TcpRun run_tcp_workload(double fault_rate, std::uint64_t rounds) {
   const auto users = make_users();
   svc::SchedulerService service(users, service_options());
-  svc::ServerOptions server_options;
-  server_options.ingress_threads = ingress_threads;
   svc::SocketServer server(service, svc::Endpoint::parse("tcp:127.0.0.1:0"),
-                           server_options);
+                           svc::ServerOptions{});
   server.start();
 
   svc::ServiceClient client(retry_options(), util::Rng(kSeed).fork(100));
@@ -237,7 +234,7 @@ TEST(SvcTcpDifferential, FaultyTcpYieldsIdenticalDecisions) {
   // Reference: the clean in-process datagram path.
   const std::vector<Pick> reference = run_workload(0.0, kRounds);
 
-  const TcpRun tcp = run_tcp_workload(0.10, kRounds, /*ingress_threads=*/2);
+  const TcpRun tcp = run_tcp_workload(0.10, kRounds);
   ASSERT_EQ(tcp.picks.size(), reference.size());
   for (std::size_t r = 0; r < reference.size(); ++r) {
     EXPECT_EQ(tcp.picks[r].round, reference[r].round);
@@ -257,10 +254,10 @@ TEST(SvcTcpDifferential, FaultyTcpYieldsIdenticalDecisions) {
 }
 
 TEST(SvcTcpDifferential, CleanTcpMatchesCleanDatagrams) {
-  // The transport alone (no faults, single reader) must also be invisible.
+  // The transport alone (no faults) must also be invisible.
   constexpr std::uint64_t kRounds = 4;
   const std::vector<Pick> reference = run_workload(0.0, kRounds);
-  const TcpRun tcp = run_tcp_workload(0.0, kRounds, /*ingress_threads=*/1);
+  const TcpRun tcp = run_tcp_workload(0.0, kRounds);
   ASSERT_EQ(tcp.picks.size(), reference.size());
   for (std::size_t r = 0; r < reference.size(); ++r) {
     EXPECT_EQ(tcp.picks[r].selected, reference[r].selected);

@@ -5,8 +5,10 @@
 // adversarial *streams*: frames split at every read boundary (1-byte
 // reads), short writes under a tiny kernel send buffer, mid-frame
 // disconnect, decoder resync on a live connection, slow-client
-// backpressure, and lease expiry when a connection dies.  Also what a
-// unix: listen address may remove: a stale socket, never a regular file.
+// backpressure, lease expiry when a connection dies, and replies routed
+// to the one connection that asked when two are open at once.  Also what
+// a unix: listen address may remove: a stale socket, never a live
+// server's socket or a regular file.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -24,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/registry.h"
 #include "svc/frame.h"
 #include "svc/listener.h"
 #include "svc/service.h"
@@ -123,6 +126,25 @@ TEST(Socket, ListenOnUnixPathReplacesAStaleSocket) {
   svc::Socket again = svc::Socket::listen_on(endpoint);
   EXPECT_TRUE(again.valid());
   again.close();
+  std::remove(endpoint.path.c_str());
+}
+
+TEST(Socket, ListenOnUnixPathRefusesALiveServer) {
+  const svc::Endpoint endpoint = svc::Endpoint::parse(
+      "unix:" + ::testing::TempDir() + "helcfl_live_" +
+      std::to_string(::getpid()) + ".sock");
+  svc::Socket live = svc::Socket::listen_on(endpoint);
+  try {
+    (void)svc::Socket::listen_on(endpoint);
+    ADD_FAILURE() << "listen_on took over a live server's path";
+  } catch (const svc::TransportError& error) {
+    EXPECT_NE(std::string(error.what()).find(endpoint.path), std::string::npos)
+        << "the error must name the path: " << error.what();
+  }
+  // The first listener still owns its address: a new client reaches it.
+  svc::Socket client = svc::Socket::connect_to(endpoint);
+  EXPECT_TRUE(eventually([&] { return live.accept_one().has_value(); }));
+  live.close();
   std::remove(endpoint.path.c_str());
 }
 
@@ -281,8 +303,8 @@ TEST(SocketServer, RoundTripOverUnixSocket) {
   const auto users = svc_test::make_users();
   svc::SchedulerService service(users, tiny_fleet_options());
   svc::ServerOptions server_options;
-  server_options.ingress_threads = 2;
-  const std::string path = ::testing::TempDir() + "helcfl_svc_rt.sock";
+  const std::string path = ::testing::TempDir() + "helcfl_svc_rt_" +
+                           std::to_string(::getpid()) + ".sock";
   svc::SocketServer server(service, svc::Endpoint::parse("unix:" + path),
                            server_options);
   server.start();
@@ -321,6 +343,7 @@ TEST(SocketServer, RoundTripOverUnixSocket) {
   EXPECT_EQ(stats.conns_accepted, 1u);
   EXPECT_GE(stats.ingress_frames, users.size() + 1);
   EXPECT_GE(stats.egress_frames, users.size() + 1);
+  std::remove(path.c_str());
 }
 
 TEST(SocketServer, DisconnectExpiresLeaseAndReconnectRevives) {
@@ -346,11 +369,10 @@ TEST(SocketServer, DisconnectExpiresLeaseAndReconnectRevives) {
     }));
   }  // connection drops here
 
-  ASSERT_TRUE(eventually([&] { return server.open_connections() == 0; }));
-  // The device goes silent past its lease; the service loop's poll() at
-  // the advanced tick parks it.  (Stop the server before reading the
-  // service — the service thread is its only permitted caller while
-  // running.)
+  ASSERT_TRUE(eventually([&] { return server.stats().conns_closed == 1; }));
+  // The device goes silent past its lease; the loop's poll() at the
+  // advanced tick parks it.  (Stop the server before reading the service
+  // — the loop thread is its only permitted caller while running.)
   tick.store(10'000, std::memory_order_relaxed);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   server.stop();
@@ -383,4 +405,79 @@ TEST(SocketServer, SlowClientIsStalledNotBufferedForever) {
   }));
   server.stop();
   EXPECT_GE(server.stats().conns_stalled, 1u);
+}
+
+TEST(SocketServer, RepliesGoOnlyToTheConnectionThatAsked) {
+  const auto users = svc_test::make_users();
+  obs::Registry registry;
+  svc::SchedulerService service(users, tiny_fleet_options());
+  // While `hold` is set the loop thread parks at its next tick read, so
+  // the test can put reports and a hang-up on the wire before the server
+  // reads that connection again.
+  std::atomic<bool> hold{false};
+  std::atomic<bool> parked{false};
+  svc::ServerOptions server_options;
+  server_options.tick_source = [&] {
+    while (hold.load()) {
+      parked.store(true);
+      std::this_thread::yield();
+    }
+    return std::uint64_t{0};
+  };
+  const std::string path = ::testing::TempDir() + "helcfl_svc_two_" +
+                           std::to_string(::getpid()) + ".sock";
+  svc::SocketServer server(service, svc::Endpoint::parse("unix:" + path),
+                           server_options,
+                           obs::Instruments{.registry = &registry});
+  server.start();
+
+  svc::ClientChannel device(server.endpoint());
+  svc::ClientChannel controller(server.endpoint());
+  std::vector<svc::Frame> device_inbox;
+  std::vector<svc::Frame> controller_inbox;
+  for (std::size_t d = 0; d < users.size(); ++d) {
+    ASSERT_TRUE(device.send_frame(report_frame(d, 1)));
+  }
+  ASSERT_TRUE(eventually([&] {
+    device.poll_frames(device_inbox, 10);
+    return device_inbox.size() >= users.size();
+  }));
+  svc::DecisionRequest request;
+  request.controller_seq = 1;
+  request.round = 0;
+  ASSERT_TRUE(controller.send_frame(svc::encode_frame(svc::encode(request))));
+  ASSERT_TRUE(eventually([&] {
+    controller.poll_frames(controller_inbox, 10);
+    return !controller_inbox.empty();
+  }));
+  // Give a misrouted frame time to show up on either side.
+  device.poll_frames(device_inbox, 50);
+  controller.poll_frames(controller_inbox, 50);
+
+  EXPECT_EQ(device_inbox.size(), users.size());
+  for (const svc::Frame& frame : device_inbox) {
+    EXPECT_EQ(frame.type, svc::MsgType::kReportAck);
+  }
+  ASSERT_EQ(controller_inbox.size(), 1u);
+  EXPECT_EQ(controller_inbox[0].type, svc::MsgType::kDecisionResponse);
+  EXPECT_EQ(registry.counter("svc.egress_unroutable"), 0u);
+
+  // Fresh reports, then the device hangs up before the server reads them:
+  // their acks have no connection left to go to.
+  hold.store(true);
+  ASSERT_TRUE(eventually([&] { return parked.load(); }));
+  for (std::size_t d = 0; d < users.size(); ++d) {
+    ASSERT_TRUE(device.send_frame(report_frame(d, 2)));
+  }
+  device.close();
+  hold.store(false);
+  ASSERT_TRUE(eventually([&] {
+    return registry.counter("svc.egress_unroutable") == users.size();
+  }));
+  server.stop();
+  EXPECT_EQ(registry.counter("svc.egress_unroutable"), users.size());
+  EXPECT_EQ(service.stats().reports_applied, 2 * users.size());
+  EXPECT_EQ(server.stats().egress_frames, users.size() + 1);
+  EXPECT_EQ(server.stats().conns_closed, 2u);
+  std::remove(path.c_str());
 }
