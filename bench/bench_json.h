@@ -73,17 +73,12 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
       // Wall-clock seconds the measured iterations actually took — a rate
       // (items_per_second) without its measurement window is unauditable.
       row.duration_s = run.real_accumulated_time;
-      // Per-row kernel context: benchmarks that sweep the kernel thread
-      // count publish a "threads" counter; everything else ran at the
-      // process default.  The ISA is resolved once per process but recorded
-      // per row so scaling-curve diffs are self-describing.
-      row.threads = static_cast<double>(tensor::kernel_threads());
+      // The ISA is resolved once per process but recorded per row so row
+      // diffs are self-describing.
       row.isa = tensor::kernel_isa();
       for (const auto& [name, counter] : run.counters) {
         if (name == "items_per_second") {
           row.items_per_sec = static_cast<double>(counter);
-        } else if (name == "threads") {
-          row.threads = static_cast<double>(counter);
         } else if (name == "flops") {
           // Rate counter: flops/sec over the measurement window.
           row.gflops = static_cast<double>(counter) / 1e9;
@@ -114,7 +109,6 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
           << r.ns_per_op << ", \"items_per_sec\": " << r.items_per_sec
           << ", \"duration_s\": " << r.duration_s
           << ", \"iterations\": " << r.iterations
-          << ", \"threads\": " << r.threads
           << ", \"isa\": \"" << escape(r.isa) << "\"";
       if (r.gflops > 0.0) out << ", \"gflops\": " << r.gflops;
       for (const auto& [name, value] : r.counters) {
@@ -134,7 +128,6 @@ class JsonTeeReporter : public benchmark::BenchmarkReporter {
     double items_per_sec = 0.0;
     double duration_s = 0.0;
     double iterations = 0.0;
-    double threads = 1.0;   ///< kernel threads the row ran with
     double gflops = 0.0;    ///< from the "flops" rate counter; 0 = not set
     std::string isa;        ///< kernel ISA the row ran with
     /// Every other user counter (e.g. p99 latencies), in counter order.

@@ -21,8 +21,6 @@ using tensor::Tensor;
 
 void BM_Gemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<std::size_t>(state.range(1));
-  tensor::set_kernel_threads(threads);
   util::Rng rng(1);
   std::vector<float> a(n * n);
   std::vector<float> b(n * n);
@@ -36,25 +34,12 @@ void BM_Gemm(benchmark::State& state) {
   const auto flops = static_cast<std::int64_t>(state.iterations()) *
                      static_cast<std::int64_t>(2 * n * n * n);
   state.SetItemsProcessed(flops);
-  state.counters["threads"] = static_cast<double>(threads);
   state.counters["flops"] = benchmark::Counter(static_cast<double>(flops),
                                                benchmark::Counter::kIsRate);
-  tensor::set_kernel_threads(1);
 }
-// The 512-point sweep is the scaling curve CI records (1/2/4 kernel
-// threads); smaller sizes stay single-threaded (below the parallel
-// threshold anyway) to track per-core kernel regressions.  UseRealTime:
-// the sharded work runs on pool threads, which the default CPU-time
-// pacing cannot see.
-BENCHMARK(BM_Gemm)
-    ->Args({32, 1})
-    ->Args({64, 1})
-    ->Args({128, 1})
-    ->Args({256, 1})
-    ->Args({512, 1})
-    ->Args({512, 2})
-    ->Args({512, 4})
-    ->UseRealTime();
+// One row per size tracks per-core kernel regressions; every product runs
+// whole on the calling thread.
+BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void BM_GemmABt(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

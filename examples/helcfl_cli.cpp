@@ -16,7 +16,7 @@
 //              [--straggler-cutoff-s=F] [--min-clients=N]
 //              [--mode=sync|async] [--buffer-k=N]
 //              [--staleness-beta=F] [--staleness-bound=N]
-//              [--threads=N] [--kernel-threads=N] [--csv=path] [--quiet]
+//              [--threads=N] [--csv=path] [--quiet]
 //              [--trace-out=path] [--trace-level=round|decision|debug]
 //              [--profile] [--chrome-trace=path]
 //              [--checkpoint-every=N] [--checkpoint-path=path]
@@ -25,13 +25,10 @@
 // --threads=0 (the default) uses every hardware thread; --threads=1 forces
 // the sequential reference path.  Results are bitwise identical either way
 // (the parallel engine's determinism guarantee, DESIGN.md §7) — including
-// with faults enabled, whose draws are forked per (round, user).
-//
-// --kernel-threads=N shards large GEMMs over N dedicated kernel workers
-// (default 1; 0 = every hardware thread); orthogonal to --threads and
-// likewise bitwise invariant (docs/KERNELS.md).  Prefer --threads on
-// many-client workloads and --kernel-threads when a single large model
-// dominates.
+// with faults enabled, whose draws are forked per (round, user).  Clients
+// are the only unit of parallel work: each GEMM runs whole on the worker
+// that trains its client (docs/KERNELS.md).  Explicit values above
+// fl::TrainerOptions::kMaxThreads (1024) are rejected.
 //
 // Observability (docs/OBSERVABILITY.md): --trace-out writes one JSON event
 // per line (selection decisions, DVFS assignments, TDMA spans, faults,
@@ -94,7 +91,6 @@
 #include "svc/listener.h"
 #include "svc/service.h"
 #include "svc/transport.h"
-#include "tensor/ops.h"
 #include "util/args.h"
 #include "util/log.h"
 #include "util/rng.h"
@@ -332,11 +328,6 @@ int main(int argc, char** argv) {
     const std::int64_t threads = args.get_int_or("threads", 0);
     if (threads < 0) throw std::invalid_argument("--threads must be >= 0");
     config.trainer.num_threads = static_cast<std::size_t>(threads);
-    const std::int64_t kernel_threads = args.get_int_or("kernel-threads", 1);
-    if (kernel_threads < 0) {
-      throw std::invalid_argument("--kernel-threads must be >= 0");
-    }
-    tensor::set_kernel_threads(static_cast<std::size_t>(kernel_threads));
     config.trainer.checkpoint_every =
         static_cast<std::size_t>(args.get_int_or("checkpoint-every", 0));
     config.trainer.checkpoint_path = args.get_or("checkpoint-path", "");

@@ -20,6 +20,13 @@ void TrainerOptions::validate(std::size_t n_users) const {
         "TrainerOptions: eval_every must be >= 1 (it is the modulus of the "
         "evaluation cadence; use a large value to evaluate rarely)");
   }
+  if (num_threads > kMaxThreads) {
+    throw std::invalid_argument(
+        "TrainerOptions: num_threads = " + std::to_string(num_threads) +
+        " exceeds the ceiling of " + std::to_string(kMaxThreads) +
+        " (each worker holds a model replica); use 0 for one worker per "
+        "hardware thread");
+  }
   if (eval_batch == 0) {
     throw std::invalid_argument(
         "TrainerOptions: eval_batch must be >= 1 (0 would make evaluation loop "

@@ -51,6 +51,9 @@ struct TrainerOptions {
   /// final weights are bitwise identical for every value of this knob
   /// (DESIGN.md §7).
   std::size_t num_threads = 1;
+  /// Ceiling on an explicit num_threads: each worker owns a model replica,
+  /// so a typo such as 100000 would start that many OS threads and clones.
+  static constexpr std::size_t kMaxThreads = 1024;
 
   /// Algorithm 1's convergence exit: after each round the FLCC checks
   /// whether the global model has converged.  With window >= 2, training

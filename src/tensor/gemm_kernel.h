@@ -7,26 +7,19 @@
 // AVX2+FMA and AVX-512 TUs built with per-file -m flags — and the fastest
 // kernel the running CPU supports is resolved exactly once per process, so
 // every call in a run (and every worker thread) executes the same
-// instruction sequence.  On top of the per-ISA drivers sit two orthogonal
-// accelerations that both preserve the bitwise-determinism contract:
-//
-//   * run_gemm() partitions C's **rows** across a dedicated kernel thread
-//     pool (set_kernel_threads / HELCFL_KERNEL_THREADS).  Every output
-//     element still accumulates its full k extent in the documented
-//     ascending-k order on exactly one thread, so the bits are identical
-//     for any thread count — including 1 — on a given kernel.
-//   * Callers may supply prepacked operand panels (packed_a / packed_b,
-//     produced by the vtable pack functions) so a weight matrix reused
-//     across many products — the FedAvg global model forwarded by every
-//     selected client — is packed once instead of per call.  Packing is a
-//     pure data rearrangement; the product bits do not change.
+// instruction sequence.  Every GEMM runs whole on its calling thread (a
+// trainer worker or the main thread): clients, not kernel calls, are the
+// unit of parallel work (DESIGN.md §7).  Callers may supply prepacked
+// operand panels (packed_a / packed_b, produced by the vtable pack
+// functions) so a weight matrix reused across many products — the FedAvg
+// global model forwarded by every selected client — is packed once instead
+// of per call.  Packing is a pure data rearrangement; the product bits do
+// not change.
 //
 // docs/KERNELS.md documents the tiling scheme, the accumulation policy,
-// the threading partition, the packed-panel layout, and the determinism
-// contract.
+// the packed-panel layout, and the determinism contract.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -56,12 +49,6 @@ struct GemmArgs {
   /// another kernel (tensor::PackedWeights enforces this).
   const float* packed_a = nullptr;
   const float* packed_b = nullptr;
-  /// Row range [row_begin, row_end) of C to compute; row_end == 0 means m.
-  /// Used by run_gemm() to shard rows across threads.  With packed_a the
-  /// range must start on a multiple of the kernel's mc block (run_gemm
-  /// guarantees this by partitioning at mc granularity).
-  std::size_t row_begin = 0;
-  std::size_t row_end = 0;
 };
 
 using GemmFn = void (*)(const GemmArgs&);
@@ -70,16 +57,13 @@ using GemmFn = void (*)(const GemmArgs&);
 using PackFn = void (*)(const GemmArgs&, float*);
 
 /// Everything the engine knows about one compiled kernel.  `mr/nr` are the
-/// micro-tile dimensions (they fix the packed-panel layout), `mc/kc` the
-/// cache-block sizes (mc is the row-partition granularity for threading).
+/// micro-tile dimensions; they fix the packed-panel layout.
 struct KernelVTable {
   GemmFn gemm = nullptr;
   PackFn pack_a = nullptr;
   PackFn pack_b = nullptr;
   std::size_t mr = 0;
   std::size_t nr = 0;
-  std::size_t mc = 0;
-  std::size_t kc = 0;
   std::string_view isa;
 };
 
@@ -124,35 +108,12 @@ const KernelVTable& gemm_avx512_vtable();
 /// bit-reproducibility.
 const KernelVTable& active_kernel_vtable();
 
-/// The resolved kernel's GEMM entry (no threading, no packing cache).
-GemmFn active_kernel();
-
-/// Runs one GEMM through the resolved kernel, sharding C's rows across the
-/// kernel thread pool when (a) more than one kernel thread is configured,
-/// (b) the problem is large enough to amortize the fork/join, and (c) the
-/// calling thread is not itself a util::ThreadPool worker (nested
-/// parallelism would deadlock a pool waiting on itself and oversubscribe
-/// the machine; trainer workers each run whole GEMMs instead).  Bitwise
-/// deterministic for any thread count: row sharding never changes any
-/// element's ascending-k accumulation order.
-void run_gemm(const GemmArgs& args);
-
-/// Sets the kernel-pool width: 1 (default) disables threading, 0 resolves
-/// to hardware_concurrency, n >= 2 spawns a dedicated n-thread pool.  Not
-/// thread-safe against in-flight GEMMs — configure from the main thread
-/// between computations.  First use reads HELCFL_KERNEL_THREADS from the
-/// environment when the knob was never set programmatically.
-void set_kernel_threads(std::size_t n);
-
-/// Currently configured kernel-pool width (>= 1).
-std::size_t kernel_threads();
-
 /// Name of the resolved kernel: "avx512", "avx2_fma" or "generic".
 std::string_view kernel_isa();
 
 /// Process-wide count of scratch-buffer growths (GEMM packing panels and
 /// layer im2col buffers), aggregated across every thread — the panels are
-/// thread_local but the counter is one process-global atomic, so pool
+/// thread_local but the counter is one process-global atomic, so trainer
 /// workers' growths are visible here too.  In steady state — repeated calls
 /// with shapes no larger than already seen on each thread — this must not
 /// advance; tests and the micro benches assert it, and the trainer exports

@@ -3,7 +3,7 @@
 // 24 ZMM accumulators + 2 B vectors + 1 broadcast uses 27 of the 32
 // 512-bit registers, and MR=12 divides the kMc=96 row block so prepacked-A
 // panel addressing stays aligned.  Selected at runtime by
-// detail::active_kernel() only when CPUID reports AVX512F (and the
+// detail::active_kernel_vtable() only when CPUID reports AVX512F (and the
 // HELCFL_KERNEL_ISA cap allows it).
 #define HELCFL_KERNEL_FN gemm_avx512
 #define HELCFL_KERNEL_PACK_A_FN gemm_avx512_pack_a

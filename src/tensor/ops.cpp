@@ -11,10 +11,9 @@ void add_inplace(std::span<float> y, std::span<const float> x) {
   for (std::size_t i = 0; i < y.size(); ++i) y[i] += x[i];
 }
 
-// Every GEMM variant below fills one detail::GemmArgs descriptor and hands
-// it to detail::run_gemm, which shards output rows across the kernel pool
-// when profitable and jumps through the kernel resolved at startup
-// (generic, AVX2+FMA, or AVX-512); the packing routines absorb the
+// Every GEMM variant below fills one detail::GemmArgs descriptor and runs
+// it, whole and on the calling thread, through the kernel resolved at
+// startup (generic, AVX2+FMA, or AVX-512); the packing routines absorb the
 // transposes, so all variants share one micro-kernel and one accumulation
 // order (see ops.h header comment).
 
@@ -23,7 +22,7 @@ void gemm(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
   assert(a.size() == m * k && b.size() == k * n && c.size() == m * n);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data()};
-  detail::run_gemm(args);
+  detail::active_kernel_vtable().gemm(args);
 }
 
 void gemm_bias_rows(std::size_t m, std::size_t k, std::size_t n,
@@ -33,7 +32,7 @@ void gemm_bias_rows(std::size_t m, std::size_t k, std::size_t n,
          bias.size() == m);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .bias = bias.data()};
-  detail::run_gemm(args);
+  detail::active_kernel_vtable().gemm(args);
 }
 
 void gemm_at_b(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
@@ -41,7 +40,7 @@ void gemm_at_b(std::size_t m, std::size_t k, std::size_t n, std::span<const floa
   assert(a.size() == k * m && b.size() == k * n && c.size() == m * n);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .trans_a = true};
-  detail::run_gemm(args);
+  detail::active_kernel_vtable().gemm(args);
 }
 
 void gemm_at_b_accumulate(std::size_t m, std::size_t k, std::size_t n,
@@ -50,7 +49,7 @@ void gemm_at_b_accumulate(std::size_t m, std::size_t k, std::size_t n,
   assert(a.size() == k * m && b.size() == k * n && c.size() == m * n);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .trans_a = true, .accumulate = true};
-  detail::run_gemm(args);
+  detail::active_kernel_vtable().gemm(args);
 }
 
 void gemm_a_bt(std::size_t m, std::size_t k, std::size_t n, std::span<const float> a,
@@ -58,7 +57,7 @@ void gemm_a_bt(std::size_t m, std::size_t k, std::size_t n, std::span<const floa
   assert(a.size() == m * k && b.size() == n * k && c.size() == m * n);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .trans_b = true};
-  detail::run_gemm(args);
+  detail::active_kernel_vtable().gemm(args);
 }
 
 void gemm_a_bt_accumulate(std::size_t m, std::size_t k, std::size_t n,
@@ -67,7 +66,7 @@ void gemm_a_bt_accumulate(std::size_t m, std::size_t k, std::size_t n,
   assert(a.size() == m * k && b.size() == n * k && c.size() == m * n);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .trans_b = true, .accumulate = true};
-  detail::run_gemm(args);
+  detail::active_kernel_vtable().gemm(args);
 }
 
 void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
@@ -78,7 +77,7 @@ void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .b = b.data(),
                         .c = c.data(), .bias = bias.data(),
                         .bias_per_col = true, .trans_b = true};
-  detail::run_gemm(args);
+  detail::active_kernel_vtable().gemm(args);
 }
 
 void PackedWeights::pack_a(std::size_t m, std::size_t k,
@@ -116,7 +115,7 @@ void gemm_bias_rows(std::size_t m, std::size_t k, std::size_t n,
          bias.size() == m);
   detail::GemmArgs args{.m = m, .k = k, .n = n, .b = b.data(), .c = c.data(),
                         .bias = bias.data(), .packed_a = a.panels()};
-  detail::run_gemm(args);
+  detail::active_kernel_vtable().gemm(args);
 }
 
 void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
@@ -127,12 +126,8 @@ void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
   detail::GemmArgs args{.m = m, .k = k, .n = n, .a = a.data(), .c = c.data(),
                         .bias = bias.data(), .bias_per_col = true,
                         .packed_b = b.panels()};
-  detail::run_gemm(args);
+  detail::active_kernel_vtable().gemm(args);
 }
-
-void set_kernel_threads(std::size_t n) { detail::set_kernel_threads(n); }
-
-std::size_t kernel_threads() { return detail::kernel_threads(); }
 
 std::string_view kernel_isa() { return detail::kernel_isa(); }
 

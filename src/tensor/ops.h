@@ -6,9 +6,9 @@
 // All GEMM variants run on the register-blocked, cache-tiled driver in
 // tensor/gemm_kernel.inl (docs/KERNELS.md).  Accumulation policy: every
 // variant accumulates in float, in a fixed ascending-k order (k-blocks of
-// 256 folded into C in ascending order), independent of thread count,
-// tracing, and call history — so results are bitwise deterministic for a
-// given machine.  Expected rounding error against an exact product is
+// 256 folded into C in ascending order), independent of the trainer's
+// thread count, tracing, and call history — so results are bitwise
+// deterministic for a given machine.  Expected rounding error against an exact product is
 // O(k) ulp; the layer gradchecks budget for it with tolerances >= 1e-2.
 // softmax_cross_entropy's log-sum-exp accumulates in double: it feeds loss
 // values where drift across long sums would be visible.
@@ -121,18 +121,6 @@ void gemm_bias_rows(std::size_t m, std::size_t k, std::size_t n,
 void gemm_a_bt_bias_cols(std::size_t m, std::size_t k, std::size_t n,
                          std::span<const float> a, const PackedWeights& b,
                          std::span<const float> bias, std::span<float> c);
-
-/// Sets the GEMM worker count: 1 (default) keeps every product on the
-/// calling thread, 0 resolves to hardware_concurrency, n >= 2 shards large
-/// products' output rows across a dedicated n-thread kernel pool.  Bitwise
-/// deterministic for any value — sharding never changes an element's
-/// ascending-k accumulation order.  First use reads HELCFL_KERNEL_THREADS
-/// when never set programmatically.  Not thread-safe against in-flight
-/// GEMMs; configure between computations.
-void set_kernel_threads(std::size_t n);
-
-/// Currently configured GEMM worker count (>= 1).
-std::size_t kernel_threads();
 
 /// Name of the GEMM kernel this process resolved to ("avx512", "avx2_fma"
 /// or "generic").  Set HELCFL_KERNEL_ISA=generic to pin the portable kernel

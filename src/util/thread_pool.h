@@ -53,23 +53,6 @@ class ThreadPool {
   /// 0 = auto (hardware_concurrency, at least 1), anything else verbatim.
   static std::size_t resolve_thread_count(std::size_t requested);
 
-  /// One contiguous [begin, end) slice of a partitioned range.
-  struct Chunk {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-
-  /// Splits [0, total) into at most `parts` contiguous chunks whose interior
-  /// boundaries fall on multiples of `granularity` (0 is treated as 1).  The
-  /// split is a pure function of its arguments — larger chunks first, sizes
-  /// differing by at most one granularity unit — so a parallel caller that
-  /// processes chunk i on worker i gets the same work assignment every run.
-  /// Fewer than `parts` chunks come back when `total` is too small to give
-  /// every part a whole granularity unit; `total == 0` yields no chunks.
-  static std::vector<Chunk> partition_chunks(std::size_t total,
-                                             std::size_t parts,
-                                             std::size_t granularity);
-
   /// Schedules `fn` and returns a future for its result.  In inline mode
   /// the task runs immediately on the calling thread; either way a throwing
   /// task surfaces its exception from future.get(), never std::terminate.

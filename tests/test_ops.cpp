@@ -102,11 +102,13 @@ struct GemmCase {
 };
 
 // Crosses both micro-tile geometries (4x8 and 6x16), the k-block boundary
-// at 256, and the degenerate edges.
+// at 256, and the degenerate edges, including empty products (m = 0 and
+// n = 0: C has no elements to write).
 const GemmCase kSweep[] = {
     {1, 1, 1},   {1, 0, 1},    {1, 5, 1},    {1, 7, 23},  {2, 3, 2},
     {4, 8, 8},   {5, 9, 17},   {6, 16, 16},  {7, 17, 15}, {8, 300, 9},
     {13, 31, 29}, {16, 257, 33}, {31, 64, 1}, {64, 64, 64}, {97, 5, 41},
+    {0, 5, 3},   {3, 5, 0},
 };
 
 /// Naive double-precision reference for C = op(A)*op(B) [+ C0] [+ bias].

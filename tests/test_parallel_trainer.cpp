@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/helcfl_scheduler.h"
@@ -163,6 +165,26 @@ TEST_F(ParallelTrainerTest, AutoThreadCountMatchesSequential) {
   const RunResult automatic = run(*mauto, sauto, options_with_threads(0));
 
   expect_identical(sequential, automatic);
+}
+
+TEST(TrainerOptionsThreads, ExplicitCountAboveTheCeilingIsRejected) {
+  // validate() only: no pool of this size is ever built.
+  TrainerOptions options;
+  options.num_threads = 0;  // auto
+  EXPECT_NO_THROW(options.validate(4));
+  options.num_threads = TrainerOptions::kMaxThreads;
+  EXPECT_NO_THROW(options.validate(4));
+  for (const std::size_t threads :
+       {TrainerOptions::kMaxThreads + 1, std::size_t{100000}}) {
+    options.num_threads = threads;
+    try {
+      options.validate(4);
+      ADD_FAILURE() << "num_threads = " << threads << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("num_threads"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST_P(ParallelTrainerTest, EveryZooModelIsThreadCountInvariant) {
